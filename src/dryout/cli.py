@@ -114,6 +114,9 @@ def _require(values, key):
 
 def _validate(values):
     mode = _require(values, "mode")
+    for key, value in values.items():
+        if key != "mode" and not math.isfinite(value):
+            raise ValidationError(f"{key} must be finite")
     rho_liquid = _require(values, "rho_liquid")
     if rho_liquid <= 0.0:
         raise ValidationError("rho_liquid must be positive")

@@ -9,7 +9,8 @@ Z = j^2 / 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -49,6 +50,9 @@ class JumpInputs:
     j: float
 
     def __post_init__(self):
+        for field in fields(self):
+            if not math.isfinite(getattr(self, field.name)):
+                raise InvalidInput(f"{field.name} must be finite")
         if self.v_g < self.v_l:
             raise InvalidInput("v_g must not be below v_l")
         if self.j < 0.0:
@@ -180,6 +184,8 @@ def solve_interface(model, v_fixed, j, side="liquid"):
         raise InvalidInput("mass flux must be non-negative")
     if side not in ("liquid", "gas"):
         raise InvalidInput(f"side must be 'liquid' or 'gas', got {side!r}")
+    if not math.isfinite(0.5 * j * j):
+        raise InvalidInput(f"mass flux j={j} too large: Z = j^2/2 is not finite")
 
     if side == "liquid":
         theta_b = boiling_temperature(model, v_fixed)

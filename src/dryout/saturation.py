@@ -6,6 +6,16 @@ monotone pressure branches) and then polished by a damped 2-D Newton
 iteration on the exact bitangent conditions.  The sampled-envelope
 construction in :mod:`dryout.numerics` stays independent of this path
 and serves as its oracle.
+
+The inverse problem, the boiling temperature of a given liquid volume,
+is the same bitangent system with the liquid volume held fixed and the
+temperature and gas volume unknown.  A few Maxwell constructions bracket
+the answer and seed it: the supported ceiling, a halving descent, then
+two regula-falsi steps in (v_c - v_l*)^2.  One damped Newton solve in
+(theta, v_g) then gives the temperature.  The result is accepted only
+when the residual is below 1e-13 p_c, the gas volume exceeds v_c and the
+temperature stays in the bracket.  Otherwise a bracketed scalar solve on
+v_l*(theta) - v_l, one Maxwell construction per step, stands in.
 """
 
 from __future__ import annotations
@@ -23,6 +33,7 @@ from .errors import (
     NoCriticalPoint,
     NoPhaseTransition,
     OutOfRange,
+    SingularJacobian,
 )
 from .numerics import RootConfig, find_root_bracketed, newton2d
 
@@ -285,12 +296,48 @@ def descend_to_bracket(model, cp, theta_top, wants):
         "saturation range computable at double precision")
 
 
+def _bitangent_at_liquid(model, v_l, theta, v_g):
+    """Equal pressure and equal secant slope with the liquid volume held fixed.
+
+    Returns ``(p(v_l) - s, p(v_g) - s)`` with ``s`` the secant slope
+    (psi(v_l) - psi(v_g)) / (v_g - v_l); both vanish exactly on the
+    bitangent through ``v_l``.
+    """
+    gap = v_g - v_l
+    secant = (model.psi(v_l, theta) - model.psi(v_g, theta)) / gap
+    return model.pressure(v_l, theta) - secant, model.pressure(v_g, theta) - secant
+
+
+def _bitangent_at_liquid_jacobian(model, v_l, theta, v_g):
+    """Analytic Jacobian of :func:`_bitangent_at_liquid` in (theta, v_g)."""
+    gap = v_g - v_l
+    entropy_slope = (model.eta(v_l, theta) - model.eta(v_g, theta)) / gap
+    secant = (model.psi(v_l, theta) - model.psi(v_g, theta)) / gap
+    r_term = (secant - model.pressure(v_g, theta)) / gap
+    return np.array([
+        [model.eta_dv(v_l, theta) + entropy_slope, r_term],
+        [model.eta_dv(v_g, theta) + entropy_slope, model.pressure_dv(v_g, theta) + r_term],
+    ])
+
+
 def boiling_temperature(model, v_l):
     """Temperature at which ``v_l`` is the saturated liquid volume.
 
-    Uses the strict monotonicity of the saturated liquid volume in
-    temperature to bracket, then solves to |v_l*(theta) - v_l| below
-    1e-13 of the critical volume.
+    The saturated liquid volume v_l*(theta) rises strictly with
+    temperature.  A Maxwell construction at the supported ceiling refuses
+    volumes above its range, and :func:`descend_to_bracket` brackets the
+    answer.  Two regula-falsi steps on v_l*(theta), each one Maxwell
+    construction, then narrow the bracket; they interpolate theta linearly
+    in (v_c - v_l*)^2, which the square-root law near the critical point
+    makes nearly linear in theta.
+
+    From the last of those points, (theta, v_g*), a single damped Newton
+    solve of the bitangent conditions with ``v_l`` held fixed (equal
+    pressure, equal secant slope) gives the answer directly.  It is
+    accepted when the residual scaled by p_c is below 1e-13, the gas
+    volume lies above v_c and theta stays inside the bracket.  Otherwise
+    the bracket is solved by safeguarded secant steps on v_l*(theta) - v_l,
+    each a full Maxwell construction, to 1e-13 of the critical volume.
     """
     cp = _critical_or_no_transition(model)
     if not (model.v_min * (1.0 + 1e-9) <= v_l < cp.v_c):
@@ -304,8 +351,39 @@ def boiling_temperature(model, v_l):
     if sat_hi.v_l_star == v_l:
         return theta_hi
 
-    theta_lo, theta_hi = descend_to_bracket(
-        model, cp, theta_hi, lambda sat: sat.v_l_star < v_l)
+    seen = {theta_hi: sat_hi}
+
+    def below_target(sat):
+        seen[sat.theta] = sat
+        return sat.v_l_star < v_l
+
+    theta_lo, theta_hi = descend_to_bracket(model, cp, theta_hi, below_target)
+    sat_lo, sat_hi = seen[theta_lo], seen[theta_hi]
+
+    # (v_c - v_l*)^2 falls strictly and nearly linearly in theta
+    target = (cp.v_c - v_l) ** 2
+    for _ in range(2):
+        g_lo = (cp.v_c - sat_lo.v_l_star) ** 2
+        g_hi = (cp.v_c - sat_hi.v_l_star) ** 2
+        theta = theta_lo + (target - g_lo) * (theta_hi - theta_lo) / (g_hi - g_lo)
+        sat = maxwell_construction(model, theta)
+        if sat.v_l_star < v_l:
+            theta_lo, sat_lo = theta, sat
+        else:
+            theta_hi, sat_hi = theta, sat
+
+    scale = cp.p_c
+    resid = lambda x: np.array(_bitangent_at_liquid(model, v_l, x[0], x[1])) / scale
+    jac = lambda x: _bitangent_at_liquid_jacobian(model, v_l, x[0], x[1]) / scale
+    try:
+        theta, v_g = newton2d(resid, jac, (sat.theta, sat.v_g_star),
+                              RootConfig(abs_tol=1e-13, max_iter=50))
+        # v_l already lies in (v_min, v_c); a root with v_g past v_c is the bitangent
+        if v_g > cp.v_c and theta_lo <= theta <= theta_hi:
+            return float(theta)
+    except (NoConvergence, SingularJacobian):
+        pass
+
     gap = lambda th: maxwell_construction(model, th).v_l_star - v_l
     cfg = RootConfig(abs_tol=1e-13 * cp.v_c, x_tol=1e-13 * cp.theta_c, max_iter=200)
     return find_root_bracketed(gap, theta_lo, theta_hi, cfg)

@@ -10,7 +10,7 @@ the interface slope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -41,6 +41,10 @@ class StefanInputs:
     rho_gas: Optional[float] = None
 
     def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if value is not None and not math.isfinite(value):
+                raise InvalidInput(f"{field.name} must be finite")
         for name in ("kappa1", "kappa2", "d1", "d2", "r", "j"):
             if not getattr(self, name) > 0.0:
                 raise InvalidInput(f"{name} must be positive")
@@ -85,7 +89,8 @@ class DryoutSolution:
 
 def dryout_condition(inputs):
     """True when the heat supply can absorb the latent-heat sink: (-ell) <= d2*r/(kappa2*j^2)."""
-    return (-inputs.ell) <= inputs.d2 * inputs.r / (inputs.kappa2 * inputs.j ** 2)
+    # j * j squares a huge flux to inf (no dryout) where j ** 2 raises OverflowError
+    return (-inputs.ell) <= inputs.d2 * inputs.r / (inputs.kappa2 * (inputs.j * inputs.j))
 
 
 def canonical_reduction(inputs):

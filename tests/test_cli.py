@@ -302,6 +302,53 @@ class TestCliCommands:
         assert first_bytes == out_csv.read_bytes()
 
 
+def with_value(config, key, value):
+    """Config text with ``key`` set to ``value``; u_liquid replaces j_flux."""
+    dropped = {key, "j_flux"} if key == "u_liquid" else {key}
+    lines = [ln for ln in config.splitlines() if ln.partition("=")[0].strip() not in dropped]
+    return "\n".join(lines + [f"{key} = {value}"]) + "\n"
+
+
+DIRECT_KEYS = ("rho_liquid", "j_flux", "u_liquid", "theta_in", "r", "kappa1", "kappa2",
+               "d1", "d2", "theta_star", "rho_gas", "latent_heat")
+EOS_KEYS = ("k1", "k2", "a", "b", "rho_liquid", "j_flux", "u_liquid", "theta_in", "r",
+            "kappa1", "kappa2", "d1", "d2")
+
+
+class TestExitCodeContract:
+    """Extreme and non-finite inputs end in a documented exit code, never a traceback."""
+
+    def run_main(self, tmp_path, capsys, text):
+        code = main(["dryout", write(tmp_path, "x.cfg", text)])
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        return code, captured
+
+    def test_direct_huge_flux_is_a_no_dryout_verdict(self, tmp_path, capsys):
+        code, captured = self.run_main(tmp_path, capsys, with_value(DIRECT_CFG, "j_flux", "1e200"))
+        assert code == 1
+        assert "dryout point exists: false" in captured.out
+
+    def test_direct_infinite_heat_source_is_invalid(self, tmp_path, capsys):
+        code, captured = self.run_main(tmp_path, capsys, with_value(DIRECT_CFG, "r", "inf"))
+        assert code == 2
+        assert "r must be finite" in captured.err
+
+    def test_eos_huge_flux_is_invalid(self, tmp_path, capsys):
+        code, captured = self.run_main(tmp_path, capsys, with_value(EOS_CFG, "j_flux", "1e200"))
+        assert code == 2
+        assert "not finite" in captured.err
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("mode, key", [("direct", k) for k in DIRECT_KEYS]
+                             + [("eos", k) for k in EOS_KEYS])
+    def test_non_finite_value_is_invalid(self, tmp_path, capsys, mode, key, value):
+        config = DIRECT_CFG if mode == "direct" else EOS_CFG
+        code, captured = self.run_main(tmp_path, capsys, with_value(config, key, value))
+        assert code == 2
+        assert f"{key} must be finite" in captured.err
+
+
 class TestPipelineDecoupling:
     def test_eos_mode_equals_composed_direct_mode(self, tmp_path, capsys):
         # run the interface stage, feed its printed values into a direct-mode

@@ -65,6 +65,14 @@ class TestJumpResiduals:
         with pytest.raises(InvalidInput):
             JumpInputs(2.0, 1.0, 0.9, 0.0)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("index", range(4))
+    def test_rejects_non_finite_values(self, index, value):
+        args = [0.6, 2.3, 0.9, 0.1]
+        args[index] = value
+        with pytest.raises(InvalidInput, match="must be finite"):
+            JumpInputs(*args)
+
 
 class TestFSystem:
     def test_zero_at_saturation_seed(self):
@@ -237,6 +245,11 @@ class TestSolveInterface:
     def test_bad_side_flag(self):
         with pytest.raises(InvalidInput):
             solve_interface(reduced(), V_L_09, 0.1, side="vapour")
+
+    @pytest.mark.parametrize("j", [1e200, math.inf, math.nan])
+    def test_flux_with_non_finite_kinetic_parameter(self, j):
+        with pytest.raises(InvalidInput, match="not finite"):
+            solve_interface(reduced(), V_L_09, j)
 
 
 class TestNonReducedScaling:

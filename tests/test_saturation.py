@@ -13,7 +13,15 @@ from dryout import (
     maxwell_construction,
     saturation_curve,
 )
-from dryout.errors import AboveCritical, DomainError, InvalidInput, NoPhaseTransition, OutOfRange
+import dryout.saturation
+from dryout.errors import (
+    AboveCritical,
+    DomainError,
+    InvalidInput,
+    NoConvergence,
+    NoPhaseTransition,
+    OutOfRange,
+)
 
 from helpers import (
     SAT_REFS,
@@ -104,7 +112,6 @@ class TestMaxwellConstruction:
         # beneath roughly 0.2 theta_c the liquid-pressure cancellation noise,
         # amplified by the gas volume, exceeds the certified tolerance; the
         # construction must refuse rather than return an uncertified point
-        from dryout.errors import NoConvergence
         with pytest.raises(NoConvergence):
             maxwell_construction(reduced(), 0.1)
 
@@ -145,9 +152,90 @@ class TestBoilingTemperature:
         assert abs(maxwell_construction(m, theta_b).v_l_star - 0.36) < 1e-10
 
     def test_liquid_below_computable_floor(self):
-        from dryout.errors import NoConvergence
         with pytest.raises(NoConvergence):
             boiling_temperature(reduced(), 0.34)
+
+
+# the reduced model and an SI-scaled water-like one (p_c ~ 7e7, theta_c ~ 1.1e3)
+INVERSION_MODELS = {
+    "reduced": reduced(),
+    "si": EosModel(k1=4180.0, k2=461.5, a=1700.0, b=9.5e-4),
+}
+INVERSION_FRACTIONS = [float(f) for f in np.linspace(0.25, 0.985, 25)]
+
+
+def inversion_grid(model):
+    """(theta, v_l*(theta)) over [0.25, 0.985] of the critical temperature."""
+    theta_c = model.critical_point().theta_c
+    return [(f * theta_c, maxwell_construction(model, f * theta_c).v_l_star)
+            for f in INVERSION_FRACTIONS]
+
+
+def failing_bitangent_newton(failed):
+    """``newton2d`` that fails the bitangent solve of ``boiling_temperature``.
+
+    The Maxwell constructions look up the same ``newton2d`` for their own
+    polish stage, so those calls pass through to the real solver.
+    """
+    original = dryout.saturation.newton2d
+
+    def newton(F, J, x0, cfg=None):
+        if F.__qualname__.startswith("boiling_temperature."):
+            failed.append(x0)
+            raise NoConvergence("forced failure of the bitangent solve")
+        return original(F, J, x0, cfg)
+    return newton
+
+
+class TestBoilingTemperatureInversion:
+    """The bitangent Newton solve, its Maxwell budget and its bisection fallback."""
+
+    @pytest.mark.parametrize("name", sorted(INVERSION_MODELS))
+    def test_round_trip_on_grid(self, name):
+        m = INVERSION_MODELS[name]
+        cp = m.critical_point()
+        for theta, v_l in inversion_grid(m):
+            theta_b = boiling_temperature(m, v_l)
+            assert abs(theta_b - theta) <= 1e-12 * cp.theta_c
+            assert abs(maxwell_construction(m, theta_b).v_l_star - v_l) <= 1e-13 * cp.v_c
+
+    @pytest.mark.parametrize("name", sorted(INVERSION_MODELS))
+    def test_at_most_five_constructions_per_inversion(self, name, monkeypatch):
+        # the bisection fallback alone costs a dozen or more constructions,
+        # so this budget fails whenever the Newton result is not accepted
+        m = INVERSION_MODELS[name]
+        grid = inversion_grid(m)
+        calls = []
+        original = dryout.saturation.maxwell_construction
+
+        def counting(model, theta):
+            calls.append(theta)
+            return original(model, theta)
+
+        monkeypatch.setattr(dryout.saturation, "maxwell_construction", counting)
+        for _, v_l in grid:
+            calls.clear()
+            boiling_temperature(m, v_l)
+            assert len(calls) <= 5
+
+    @pytest.mark.parametrize("name", sorted(INVERSION_MODELS))
+    def test_fallback_when_newton_fails(self, name, monkeypatch):
+        m = INVERSION_MODELS[name]
+        cp = m.critical_point()
+        grid = inversion_grid(m)[::4]
+        failed = []
+        monkeypatch.setattr(dryout.saturation, "newton2d", failing_bitangent_newton(failed))
+        for theta, v_l in grid:
+            failed.clear()
+            assert abs(boiling_temperature(m, v_l) - theta) <= 1e-12 * cp.theta_c
+            assert len(failed) == 1
+
+    def test_fallback_keeps_the_refusals(self, monkeypatch):
+        monkeypatch.setattr(dryout.saturation, "newton2d", failing_bitangent_newton([]))
+        with pytest.raises(NoConvergence):
+            boiling_temperature(reduced(), 0.34)
+        with pytest.raises(AboveCritical):
+            boiling_temperature(reduced(), 0.97)
 
 
 class TestLatentHeat:

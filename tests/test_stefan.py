@@ -39,6 +39,12 @@ class TestDryoutCondition:
     def test_weak_latent_heat_passes(self):
         assert dryout_condition(unit_inputs(ell=-0.5, d2=2.0))
 
+    def test_huge_flux_fails_without_overflow(self):
+        # j^2 overflows to inf, which no finite heat supply can balance
+        inputs = unit_inputs(j=1e200)
+        assert not dryout_condition(inputs)
+        assert not solve_stationary(inputs).exists
+
 
 class TestCanonicalReduction:
     def test_unit_suite(self):
@@ -58,6 +64,13 @@ class TestCanonicalReduction:
     def test_equal_temperatures_rejected_at_type_level(self):
         with pytest.raises(InvalidInput):
             unit_inputs(theta_in=0.0, theta_star=0.0)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["kappa1", "kappa2", "d1", "d2", "r", "j", "ell",
+                                      "theta_in", "theta_star", "rho_gas"])
+    def test_non_finite_rejected_at_type_level(self, name, value):
+        with pytest.raises(InvalidInput, match=f"{name} must be finite"):
+            unit_inputs(**{name: value})
 
     def test_positivity_enforced(self):
         with pytest.raises(InvalidInput):
