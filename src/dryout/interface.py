@@ -1,10 +1,11 @@
 """Jump conditions across a flat interface and the flux-continuation solver.
 
-The coupled residual pair couples the momentum balance and the
-energy (Gibbs-Thomson) balance for fixed liquid volume; its unique
-zero-flux root is the saturation seed, from which solutions at positive
-mass flux are tracked by adaptive continuation in the kinetic parameter
-Z = j^2 / 2.
+The coupled residual pair ``f_system`` (defined in :mod:`dryout.saturation`,
+which solves its zero-flux case for the boiling temperature) couples the
+momentum balance and the energy (Gibbs-Thomson) balance for fixed liquid
+volume; its unique zero-flux root is the saturation seed, from which
+solutions at positive mass flux are tracked by adaptive continuation in
+the kinetic parameter Z = j^2 / 2.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .errors import (
     DomainError,
     InvalidInput,
     NoConvergence,
-    NoCriticalPoint,
     OutOfRange,
     SingularJacobian,
 )
@@ -32,6 +32,8 @@ from .saturation import (
     NEAR_CRITICAL_FRACTION,
     boiling_temperature,
     descend_to_bracket,
+    f_jacobian,
+    f_system,
     maxwell_construction,
 )
 
@@ -94,48 +96,6 @@ def jump_residuals(model, inputs):
     r_energy = (psi_g - psi_l) + 0.5 * (v_g * v_g - v_l * v_l) * jj + (p_g * v_g - p_l * v_l)
     r_energy_alt = (psi_g - psi_l) + (v_g - v_l) * 0.5 * (p_l + p_g)
     return r_momentum, r_energy, r_energy_alt
-
-
-def _gap_floor(model, v_l):
-    try:
-        return 1e-12 * model.critical_point().v_c
-    except NoCriticalPoint:
-        return 1e-12 * max(1.0, v_l)
-
-
-def f_system(model, v_l, theta, v, Z):
-    """Residual pair (f1, f2) of the coupled interface system.
-
-    f1 couples the liquid pressure to the secant slope of the energy
-    between the two volumes, f2 the gas pressure; f1 - f2 reproduces the
-    momentum balance p_l - p_g - 2 Z (v - v_l) identically.
-    """
-    if Z < 0.0:
-        raise InvalidInput("Z must be non-negative")
-    gap = v - v_l
-    if gap < _gap_floor(model, v_l):
-        raise DegenerateGap(f"v - v_l = {gap} too small for the secant slope")
-    secant = (model.psi(v_l, theta) - model.psi(v, theta)) / gap
-    f1 = model.pressure(v_l, theta) - Z * gap - secant
-    f2 = model.pressure(v, theta) + Z * gap - secant
-    return f1, f2
-
-
-def f_jacobian(model, v_l, theta, v, Z):
-    """Analytic Jacobian of ``f_system`` in the unknowns (theta, v)."""
-    if Z < 0.0:
-        raise InvalidInput("Z must be non-negative")
-    gap = v - v_l
-    if gap < _gap_floor(model, v_l):
-        raise DegenerateGap(f"v - v_l = {gap} too small for the secant slope")
-    entropy_slope = (model.eta(v_l, theta) - model.eta(v, theta)) / gap
-    df1_dtheta = model.eta_dv(v_l, theta) + entropy_slope
-    df2_dtheta = model.eta_dv(v, theta) + entropy_slope
-    secant = (model.psi(v_l, theta) - model.psi(v, theta)) / gap
-    r_term = (secant - model.pressure(v, theta)) / gap
-    df1_dv = -Z + r_term
-    df2_dv = model.pressure_dv(v, theta) + Z + r_term
-    return np.array([[df1_dtheta, df1_dv], [df2_dtheta, df2_dv]])
 
 
 def _f_jacobian_gas_side(model, v_l, theta, v, Z):

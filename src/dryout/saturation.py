@@ -9,13 +9,15 @@ and serves as its oracle.
 
 The inverse problem, the boiling temperature of a given liquid volume,
 is the same bitangent system with the liquid volume held fixed and the
-temperature and gas volume unknown.  A few Maxwell constructions bracket
-the answer and seed it: the supported ceiling, a halving descent, then
-two regula-falsi steps in (v_c - v_l*)^2.  One damped Newton solve in
-(theta, v_g) then gives the temperature.  The result is accepted only
-when the residual is below 1e-13 p_c, the gas volume exceeds v_c and the
-temperature stays in the bracket.  Otherwise a bracketed scalar solve on
-v_l*(theta) - v_l, one Maxwell construction per step, stands in.
+temperature and gas volume unknown: ``f_system`` at zero flux.  A few
+Maxwell constructions bracket the answer and seed it: the supported
+ceiling, a halving descent, then two regula-falsi steps in
+(v_c - v_l*)^2.  One damped Newton solve in (theta, v_g) then gives the
+temperature.  The result is accepted only when the residual is below
+1e-13 p_c, the gas volume exceeds v_c and the temperature stays in the
+bracket.  Otherwise, and above ``NEWTON_CEILING_FRACTION`` of the
+critical temperature, a bracketed scalar solve on v_l*(theta) - v_l, one
+Maxwell construction per step, stands in.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import numpy as np
 
 from .errors import (
     AboveCritical,
+    DegenerateGap,
     InvalidInput,
     NoBracket,
     NoConvergence,
@@ -40,6 +43,14 @@ from .numerics import RootConfig, find_root_bracketed, newton2d
 #: Fraction of the critical temperature above which the bitangent solve is
 #: refused: the two volume roots merge there and the Jacobian degenerates.
 NEAR_CRITICAL_FRACTION = 0.999
+
+#: Fraction of the critical temperature above which the boiling temperature
+#: comes from the bracketed solve over Maxwell constructions rather than the
+#: bitangent Newton solve.  Above it v_l*(theta) is so steep that the float
+#: floor of the secant-slope residual leaves the Newton root farther from
+#: the exact temperature than the bracketed solve; below it the Newton root
+#: is as close or closer.
+NEWTON_CEILING_FRACTION = 0.995
 
 
 @dataclass(frozen=True)
@@ -296,28 +307,48 @@ def descend_to_bracket(model, cp, theta_top, wants):
         "saturation range computable at double precision")
 
 
-def _bitangent_at_liquid(model, v_l, theta, v_g):
-    """Equal pressure and equal secant slope with the liquid volume held fixed.
+def _gap_floor(model, v_l):
+    try:
+        return 1e-12 * model.critical_point().v_c
+    except NoCriticalPoint:
+        return 1e-12 * max(1.0, v_l)
 
-    Returns ``(p(v_l) - s, p(v_g) - s)`` with ``s`` the secant slope
-    (psi(v_l) - psi(v_g)) / (v_g - v_l); both vanish exactly on the
-    bitangent through ``v_l``.
+
+def f_system(model, v_l, theta, v, Z):
+    """Residual pair (f1, f2) of the coupled interface system.
+
+    f1 couples the liquid pressure to the secant slope of the energy
+    between the two volumes, f2 the gas pressure; f1 - f2 reproduces the
+    momentum balance p_l - p_g - 2 Z (v - v_l) identically.  At Z = 0 both
+    vanish on the bitangent through v_l, which :func:`boiling_temperature`
+    solves and the flux continuation in :mod:`dryout.interface` starts from.
     """
-    gap = v_g - v_l
-    secant = (model.psi(v_l, theta) - model.psi(v_g, theta)) / gap
-    return model.pressure(v_l, theta) - secant, model.pressure(v_g, theta) - secant
+    if Z < 0.0:
+        raise InvalidInput("Z must be non-negative")
+    gap = v - v_l
+    if gap < _gap_floor(model, v_l):
+        raise DegenerateGap(f"v - v_l = {gap} too small for the secant slope")
+    secant = (model.psi(v_l, theta) - model.psi(v, theta)) / gap
+    f1 = model.pressure(v_l, theta) - Z * gap - secant
+    f2 = model.pressure(v, theta) + Z * gap - secant
+    return f1, f2
 
 
-def _bitangent_at_liquid_jacobian(model, v_l, theta, v_g):
-    """Analytic Jacobian of :func:`_bitangent_at_liquid` in (theta, v_g)."""
-    gap = v_g - v_l
-    entropy_slope = (model.eta(v_l, theta) - model.eta(v_g, theta)) / gap
-    secant = (model.psi(v_l, theta) - model.psi(v_g, theta)) / gap
-    r_term = (secant - model.pressure(v_g, theta)) / gap
-    return np.array([
-        [model.eta_dv(v_l, theta) + entropy_slope, r_term],
-        [model.eta_dv(v_g, theta) + entropy_slope, model.pressure_dv(v_g, theta) + r_term],
-    ])
+def f_jacobian(model, v_l, theta, v, Z):
+    """Analytic Jacobian of ``f_system`` in the unknowns (theta, v)."""
+    if Z < 0.0:
+        raise InvalidInput("Z must be non-negative")
+    gap = v - v_l
+    if gap < _gap_floor(model, v_l):
+        raise DegenerateGap(f"v - v_l = {gap} too small for the secant slope")
+    entropy_slope = (model.eta(v_l, theta) - model.eta(v, theta)) / gap
+    df1_dtheta = model.eta_dv(v_l, theta) + entropy_slope
+    df2_dtheta = model.eta_dv(v, theta) + entropy_slope
+    secant = (model.psi(v_l, theta) - model.psi(v, theta)) / gap
+    r_term = (secant - model.pressure(v, theta)) / gap
+    df1_dv = -Z + r_term
+    df2_dv = model.pressure_dv(v, theta) + Z + r_term
+    return np.array([[df1_dtheta, df1_dv], [df2_dtheta, df2_dv]])
 
 
 def boiling_temperature(model, v_l):
@@ -333,11 +364,14 @@ def boiling_temperature(model, v_l):
 
     From the last of those points, (theta, v_g*), a single damped Newton
     solve of the bitangent conditions with ``v_l`` held fixed (equal
-    pressure, equal secant slope) gives the answer directly.  It is
-    accepted when the residual scaled by p_c is below 1e-13, the gas
-    volume lies above v_c and theta stays inside the bracket.  Otherwise
-    the bracket is solved by safeguarded secant steps on v_l*(theta) - v_l,
-    each a full Maxwell construction, to 1e-13 of the critical volume.
+    pressure, equal secant slope: :func:`f_system` at Z = 0) gives the
+    answer directly.  It is accepted when the residual scaled by p_c is
+    below 1e-13, the gas volume lies above v_c and theta stays inside the
+    bracket.  Otherwise, and when that point lies above
+    ``NEWTON_CEILING_FRACTION`` of the critical temperature, the bracket is
+    solved by safeguarded secant steps on v_l*(theta) - v_l, each a full
+    Maxwell construction, until that gap is below 1e-13 v_c or the bracket
+    is narrower than 1e-13 theta_c.
     """
     cp = _critical_or_no_transition(model)
     if not (model.v_min * (1.0 + 1e-9) <= v_l < cp.v_c):
@@ -372,17 +406,18 @@ def boiling_temperature(model, v_l):
         else:
             theta_hi, sat_hi = theta, sat
 
-    scale = cp.p_c
-    resid = lambda x: np.array(_bitangent_at_liquid(model, v_l, x[0], x[1])) / scale
-    jac = lambda x: _bitangent_at_liquid_jacobian(model, v_l, x[0], x[1]) / scale
-    try:
-        theta, v_g = newton2d(resid, jac, (sat.theta, sat.v_g_star),
-                              RootConfig(abs_tol=1e-13, max_iter=50))
-        # v_l already lies in (v_min, v_c); a root with v_g past v_c is the bitangent
-        if v_g > cp.v_c and theta_lo <= theta <= theta_hi:
-            return float(theta)
-    except (NoConvergence, SingularJacobian):
-        pass
+    if sat.theta <= NEWTON_CEILING_FRACTION * cp.theta_c:
+        scale = cp.p_c
+        resid = lambda x: np.array(f_system(model, v_l, x[0], x[1], 0.0)) / scale
+        jac = lambda x: f_jacobian(model, v_l, x[0], x[1], 0.0) / scale
+        try:
+            theta, v_g = newton2d(resid, jac, (sat.theta, sat.v_g_star),
+                                  RootConfig(abs_tol=1e-13, max_iter=50))
+            # v_l already lies in (v_min, v_c); a root with v_g past v_c is the bitangent
+            if v_g > cp.v_c and theta_lo <= theta <= theta_hi:
+                return float(theta)
+        except (NoConvergence, SingularJacobian):
+            pass
 
     gap = lambda th: maxwell_construction(model, th).v_l_star - v_l
     cfg = RootConfig(abs_tol=1e-13 * cp.v_c, x_tol=1e-13 * cp.theta_c, max_iter=200)

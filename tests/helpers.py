@@ -63,6 +63,34 @@ def mp_psi(v, theta, k1=1, k2=None, a=3, b=None):
         return float(val)
 
 
+def mp_boiling_temperature(model, v_l, theta0, v_g0):
+    """50-digit boiling temperature of the van der Waals liquid volume ``v_l``.
+
+    Solves equal pressure and equal tangent intercept -v p - psi with the
+    liquid volume held fixed, from the seed (theta0, v_g0); the heat
+    capacity term of psi depends on theta alone and cancels.
+    """
+    import mpmath as mp
+
+    with mp.workdps(50):
+        k2, a, b, vl = mp.mpf(model.k2), mp.mpf(model.a), mp.mpf(model.b), mp.mpf(v_l)
+        cp = model.critical_point()
+        scale_p, scale_t = mp.mpf(cp.p_c), mp.mpf(cp.p_c) * mp.mpf(cp.v_c)
+
+        def pressure(v, t):
+            return k2 * t / (v - b) - a / (v * v)
+
+        def intercept(v, t):
+            return -v * pressure(v, t) + k2 * t * mp.log(v - b) + a / v
+
+        def residual(t, vg):
+            return [(pressure(vl, t) - pressure(vg, t)) / scale_p,
+                    (intercept(vl, t) - intercept(vg, t)) / scale_t]
+
+        theta, _ = mp.findroot(residual, (mp.mpf(theta0), mp.mpf(v_g0)))
+        return theta
+
+
 def log_volume_grid(model, n, v_max=50.0):
     """Log-spaced volume samples hugging the excluded volume, as the envelope oracle uses."""
     import numpy as np

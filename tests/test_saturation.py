@@ -25,6 +25,7 @@ from dryout.errors import (
 
 from helpers import (
     SAT_REFS,
+    mp_boiling_temperature,
     reduced,
     rel_err,
     strictly_decreasing,
@@ -162,13 +163,15 @@ INVERSION_MODELS = {
     "si": EosModel(k1=4180.0, k2=461.5, a=1700.0, b=9.5e-4),
 }
 INVERSION_FRACTIONS = [float(f) for f in np.linspace(0.25, 0.985, 25)]
+# up to the supported ceiling 0.999, on both sides of NEWTON_CEILING_FRACTION
+CEILING_FRACTIONS = [float(f) for f in np.linspace(0.985, 0.998, 9)[1:]]
 
 
-def inversion_grid(model):
-    """(theta, v_l*(theta)) over [0.25, 0.985] of the critical temperature."""
+def inversion_grid(model, fractions=INVERSION_FRACTIONS):
+    """(theta, v_l*(theta)) at the given fractions of the critical temperature."""
     theta_c = model.critical_point().theta_c
     return [(f * theta_c, maxwell_construction(model, f * theta_c).v_l_star)
-            for f in INVERSION_FRACTIONS]
+            for f in fractions]
 
 
 def failing_bitangent_newton(failed):
@@ -198,6 +201,20 @@ class TestBoilingTemperatureInversion:
             theta_b = boiling_temperature(m, v_l)
             assert abs(theta_b - theta) <= 1e-12 * cp.theta_c
             assert abs(maxwell_construction(m, theta_b).v_l_star - v_l) <= 1e-13 * cp.v_c
+
+    @pytest.mark.parametrize("name", sorted(INVERSION_MODELS))
+    def test_near_ceiling_against_reference(self, name):
+        # The Maxwell construction reproduces v_l* only to ~3e-12 v_c here on
+        # the SI-scaled model, even at the exact temperature, so the round
+        # trip is bounded by that and the accuracy is checked on theta itself.
+        m = INVERSION_MODELS[name]
+        cp = m.critical_point()
+        for theta, v_l in inversion_grid(m, CEILING_FRACTIONS):
+            theta_b = boiling_temperature(m, v_l)
+            sat = maxwell_construction(m, theta_b)
+            theta_ref = mp_boiling_temperature(m, v_l, theta, sat.v_g_star)
+            assert abs(float(theta_b - theta_ref)) <= 2e-13 * cp.theta_c
+            assert abs(sat.v_l_star - v_l) <= 1e-11 * cp.v_c
 
     @pytest.mark.parametrize("name", sorted(INVERSION_MODELS))
     def test_at_most_five_constructions_per_inversion(self, name, monkeypatch):
