@@ -207,9 +207,14 @@ class EosModel(HelmholtzEos):
         if self.a <= 0.0 or self.b <= 0.0:
             raise NoCriticalPoint(
                 "pressure is strictly decreasing in v for a = 0 or b = 0; no critical point")
+        theta_den = 27.0 * self.k2 * self.b
+        p_den = 27.0 * self.b * self.b
+        if theta_den == 0.0 or p_den == 0.0:
+            raise InvalidInput(
+                f"critical point of k2={self.k2}, b={self.b} underflows double precision")
         v_c = 3.0 * self.b
-        theta_c = 8.0 * self.a / (27.0 * self.k2 * self.b)
-        p_c = self.a / (27.0 * self.b * self.b)
+        theta_c = 8.0 * self.a / theta_den
+        p_c = self.a / p_den
         return CriticalPoint(v_c=v_c, theta_c=theta_c, p_c=p_c)
 
 

@@ -1,11 +1,13 @@
 """Jump conditions across a flat interface and the flux-continuation solver.
 
-The coupled residual pair ``f_system`` (defined in :mod:`dryout.saturation`,
-which solves its zero-flux case for the boiling temperature) couples the
-momentum balance and the energy (Gibbs-Thomson) balance for fixed liquid
-volume; its unique zero-flux root is the saturation seed, from which
-solutions at positive mass flux are tracked by adaptive continuation in
-the kinetic parameter Z = j^2 / 2.
+The liquid volume is the given datum, as in the dryout problem: the
+interface temperature and the gas volume are the unknowns.  The coupled
+residual pair ``f_system`` (defined in :mod:`dryout.saturation`, which
+solves its zero-flux case for the boiling temperature) couples the
+momentum balance and the energy (Gibbs-Thomson) balance at that fixed
+liquid volume; its unique zero-flux root is the saturation seed, from
+which solutions at positive mass flux are tracked by adaptive
+continuation in the kinetic parameter Z = j^2 / 2.
 """
 
 from __future__ import annotations
@@ -17,19 +19,17 @@ import numpy as np
 
 from . import eos
 from .errors import (
-    AboveCritical,
     AllFailed,
     ContinuationFailed,
     DegenerateGap,
     DomainError,
     InvalidInput,
     NoConvergence,
-    OutOfRange,
     SingularJacobian,
 )
+# find_root_bracketed, descend_to_bracket: unused here; the benchmark tracer patches these names
 from .numerics import RootConfig, find_root_bracketed, newton2d
 from .saturation import (
-    NEAR_CRITICAL_FRACTION,
     boiling_temperature,
     descend_to_bracket,
     f_jacobian,
@@ -98,68 +98,26 @@ def jump_residuals(model, inputs):
     return r_momentum, r_energy, r_energy_alt
 
 
-def _f_jacobian_gas_side(model, v_l, theta, v, Z):
-    """Jacobian in the unknowns (theta, v_l) with the gas volume held fixed."""
-    gap = v - v_l
-    entropy_slope = (model.eta(v_l, theta) - model.eta(v, theta)) / gap
-    df1_dtheta = model.eta_dv(v_l, theta) + entropy_slope
-    df2_dtheta = model.eta_dv(v, theta) + entropy_slope
-    secant = (model.psi(v_l, theta) - model.psi(v, theta)) / gap
-    r_liquid = (secant - model.pressure(v_l, theta)) / gap
-    df1_dvl = model.pressure_dv(v_l, theta) + Z - r_liquid
-    df2_dvl = -Z - r_liquid
-    return np.array([[df1_dtheta, df1_dvl], [df2_dtheta, df2_dvl]])
+def solve_interface(model, v_l, j):
+    """Interface temperature and gas volume at liquid volume ``v_l`` and mass flux ``j``.
 
-
-def _gas_boiling_temperature(model, v_g):
-    """Temperature at which ``v_g`` is the saturated gas volume."""
-    cp = model.critical_point()
-    if not v_g > cp.v_c:
-        raise OutOfRange(f"v_g={v_g} must exceed the critical volume {cp.v_c}")
-    theta_hi = NEAR_CRITICAL_FRACTION * cp.theta_c
-    sat_hi = maxwell_construction(model, theta_hi)
-    if sat_hi.v_g_star > v_g:
-        raise AboveCritical(
-            f"v_g={v_g} below the saturated gas volume {sat_hi.v_g_star} "
-            f"at the supported ceiling theta={theta_hi}")
-    theta_lo, theta_hi = descend_to_bracket(
-        model, cp, theta_hi, lambda sat: sat.v_g_star > v_g)
-    gap = lambda th: maxwell_construction(model, th).v_g_star - v_g
-    cfg = RootConfig(abs_tol=1e-12 * v_g, x_tol=1e-13 * cp.theta_c, max_iter=200)
-    return find_root_bracketed(gap, theta_lo, theta_hi, cfg)
-
-
-def solve_interface(model, v_fixed, j, side="liquid"):
-    """Interface temperature and opposite-phase volume at mass flux ``j``.
-
-    With ``side="liquid"`` (the usual case) the liquid volume is held
-    fixed and (theta, v_g) are solved; ``side="gas"`` holds the gas
-    volume fixed and solves (theta, v_l).  Continuation starts from the
-    zero-flux saturation seed with geometric steps in Z = j^2/2, doubling
-    on success and halving on Newton failure.  A stall before the target
-    raises :class:`ContinuationFailed`, the signature of the large-flux
-    nonexistence regime.
+    The liquid volume is held fixed and (theta, v_g) are solved.
+    Continuation starts from the zero-flux saturation seed, the boiling
+    temperature of ``v_l`` and its saturated gas volume, with geometric
+    steps in Z = j^2/2, doubling on success and halving on Newton failure.
+    A stall before the target raises :class:`ContinuationFailed`, the
+    signature of the large-flux nonexistence regime.
     """
     if j < 0.0:
         raise InvalidInput("mass flux must be non-negative")
-    if side not in ("liquid", "gas"):
-        raise InvalidInput(f"side must be 'liquid' or 'gas', got {side!r}")
     if not math.isfinite(0.5 * j * j):
         raise InvalidInput(f"mass flux j={j} too large: Z = j^2/2 is not finite")
 
-    if side == "liquid":
-        theta_b = boiling_temperature(model, v_fixed)
-    else:
-        theta_b = _gas_boiling_temperature(model, v_fixed)
-    sat = maxwell_construction(model, theta_b)
-    v_free0 = sat.v_g_star if side == "liquid" else sat.v_l_star
+    theta_b = boiling_temperature(model, v_l)
+    v_g0 = maxwell_construction(model, theta_b).v_g_star
     cp = model.critical_point()
 
-    def build(theta, v_free, Z, steps):
-        if side == "liquid":
-            v_l, v_g = v_fixed, v_free
-        else:
-            v_l, v_g = v_free, v_fixed
+    def build(theta, v_g, Z, steps):
         return InterfaceSolution(
             theta_star=float(theta), v_g=float(v_g),
             p_l=float(model.pressure(v_l, theta)), p_g=float(model.pressure(v_g, theta)),
@@ -167,21 +125,17 @@ def solve_interface(model, v_fixed, j, side="liquid"):
 
     z_target = 0.5 * j * j
     if z_target == 0.0:
-        return build(theta_b, v_free0, 0.0, 0)
+        return build(theta_b, v_g0, 0.0, 0)
 
     scale = cp.p_c
 
     def newton_at(z, x0):
-        if side == "liquid":
-            resid = lambda x: np.array(f_system(model, v_fixed, x[0], x[1], z)) / scale
-            jac = lambda x: f_jacobian(model, v_fixed, x[0], x[1], z) / scale
-        else:
-            resid = lambda x: np.array(f_system(model, x[1], x[0], v_fixed, z)) / scale
-            jac = lambda x: _f_jacobian_gas_side(model, x[1], x[0], v_fixed, z) / scale
+        resid = lambda x: np.array(f_system(model, v_l, x[0], x[1], z)) / scale
+        jac = lambda x: f_jacobian(model, v_l, x[0], x[1], z) / scale
         return newton2d(resid, jac, x0, RootConfig(abs_tol=1e-12, x_tol=1e-15, max_iter=50))
 
     z_cur = 0.0
-    x = np.array([theta_b, v_free0])
+    x = np.array([theta_b, v_g0])
     dz = 1e-6 * cp.p_c / cp.v_c
     steps = 0
     while z_cur < z_target:
@@ -208,15 +162,12 @@ def solve_interface(model, v_fixed, j, side="liquid"):
         steps += 1
         dz = 2.0 * step
 
-    theta_star, v_free = float(x[0]), float(x[1])
-    if side == "liquid":
-        fvals = f_system(model, v_fixed, theta_star, v_free, z_target)
-    else:
-        fvals = f_system(model, v_free, theta_star, v_fixed, z_target)
+    theta_star, v_g = float(x[0]), float(x[1])
+    fvals = f_system(model, v_l, theta_star, v_g, z_target)
     if max(abs(fvals[0]), abs(fvals[1])) > 1e-10 * cp.p_c:
         raise NoConvergence(
             f"interface residual {max(abs(fvals[0]), abs(fvals[1]))} above 1e-10 * p_c")
-    return build(theta_star, v_free, z_target, steps)
+    return build(theta_star, v_g, z_target, steps)
 
 
 def sign_changes_modified(model, theta, j, n_grid):

@@ -278,29 +278,31 @@ def maxwell_construction(model, theta):
     )
 
 
-def descend_to_bracket(model, cp, theta_top, wants):
-    """Temperature bracket [lo, hi] with ``wants`` true at lo and false at hi.
+def descend_to_bracket(model, cp, sat_top, v_l):
+    """Saturation points (lo, hi) with v_l* below ``v_l`` at lo and not below it at hi.
 
-    Walks down from ``theta_top`` by halving, retreating upward whenever the
-    bitangent construction becomes uncertifiable at double precision (very
-    low temperature, where the gas volume grows by many decades).
+    Walks down in temperature from ``sat_top`` by halving, retreating upward
+    whenever the bitangent construction becomes uncertifiable at double
+    precision (very low temperature, where the gas volume grows by many
+    decades).
     """
-    hi = theta_top
-    lo = 0.5 * theta_top
+    sat_hi = sat_top
+    lo = 0.5 * sat_top.theta
     floor = 0.0
     for _ in range(200):
         try:
-            if wants(maxwell_construction(model, lo)):
-                return lo, hi
+            sat = maxwell_construction(model, lo)
         except NoConvergence:
             floor = lo
-            lo = 0.5 * (lo + hi)
-            if hi - lo < 1e-9 * cp.theta_c:
+            lo = 0.5 * (lo + sat_hi.theta)
+            if sat_hi.theta - lo < 1e-9 * cp.theta_c:
                 break
             continue
-        hi = lo
+        if sat.v_l_star < v_l:
+            return sat, sat_hi
+        sat_hi = sat
         lo = 0.5 * (lo + floor) if floor > 0.0 else 0.5 * lo
-        if hi - lo < 1e-12 * cp.theta_c:
+        if sat_hi.theta - lo < 1e-12 * cp.theta_c:
             break
     raise NoConvergence(
         "temperature descent pinched off; the target lies below the "
@@ -356,9 +358,10 @@ def boiling_temperature(model, v_l):
 
     The saturated liquid volume v_l*(theta) rises strictly with
     temperature.  A Maxwell construction at the supported ceiling refuses
-    volumes above its range, and :func:`descend_to_bracket` brackets the
-    answer.  Two regula-falsi steps on v_l*(theta), each one Maxwell
-    construction, then narrow the bracket; they interpolate theta linearly
+    volumes above its range, and :func:`descend_to_bracket` walks down from
+    it to the two saturation points that bracket the answer.  Two
+    regula-falsi steps on v_l*(theta), each one Maxwell construction, then
+    narrow the bracket; they interpolate theta linearly
     in (v_c - v_l*)^2, which the square-root law near the critical point
     makes nearly linear in theta.
 
@@ -385,14 +388,8 @@ def boiling_temperature(model, v_l):
     if sat_hi.v_l_star == v_l:
         return theta_hi
 
-    seen = {theta_hi: sat_hi}
-
-    def below_target(sat):
-        seen[sat.theta] = sat
-        return sat.v_l_star < v_l
-
-    theta_lo, theta_hi = descend_to_bracket(model, cp, theta_hi, below_target)
-    sat_lo, sat_hi = seen[theta_lo], seen[theta_hi]
+    sat_lo, sat_hi = descend_to_bracket(model, cp, sat_hi, v_l)
+    theta_lo, theta_hi = sat_lo.theta, sat_hi.theta
 
     # (v_c - v_l*)^2 falls strictly and nearly linearly in theta
     target = (cp.v_c - v_l) ** 2

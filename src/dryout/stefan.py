@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass, fields
 from typing import Optional
 
-import numpy as np
-
 from .errors import InvalidInput, NegativePosition, NoConvergence, NoDryout
 from .numerics import RootConfig, find_root_bracketed
 
@@ -48,6 +46,9 @@ class StefanInputs:
         for name in ("kappa1", "kappa2", "d1", "d2", "r", "j"):
             if not getattr(self, name) > 0.0:
                 raise InvalidInput(f"{name} must be positive")
+        # the solver divides by both rates; kappa2*j^2 > 0 also keeps j^2 and kappa2*j above zero
+        if self.kappa2 * (self.j * self.j) == 0.0 or self.kappa1 * self.j / self.d1 == 0.0:
+            raise InvalidInput("kappa2*j^2 and kappa1*j/d1 must not underflow to zero")
         if not self.ell < 0.0:
             raise InvalidInput("latent heat ell must be negative")
         if not self.theta_in < self.theta_star:
@@ -75,7 +76,12 @@ class FreeBoundaryProblem:
 
 @dataclass(frozen=True)
 class DryoutSolution:
-    """Existence verdict, free-boundary location and profile coefficients."""
+    """Existence verdict, free-boundary location and profile coefficients.
+
+    ``heat_balance_residual`` is the certified interfacial heat balance
+    ell*j + d2*theta_2' - d1*theta_1' at the free boundary (None without
+    dryout).
+    """
 
     exists: bool
     reason: str
@@ -85,6 +91,7 @@ class DryoutSolution:
     slope2: float
     u2: Optional[float]
     inputs: StefanInputs
+    heat_balance_residual: Optional[float]
 
 
 def dryout_condition(inputs):
@@ -199,22 +206,52 @@ def xhat_critical(a, y0):
     return solve_free_boundary(FreeBoundaryProblem(a=a, b=1.0, c=1.0, y0=y0, z0=0.0))
 
 
-def _liquid_temperature(inp, x_star, x):
-    # c2*exp(alpha*x) + c1 rewritten so nothing overflows for large alpha*x_star
+def _liquid_coefficients(inp, x_star):
+    # theta_1(x) = theta_in + drift*x + amp*(exp(alpha*(x - x_star)) - exp(-alpha*x_star))/em
     alpha = inp.kappa1 * inp.j / inp.d1
     drift = inp.r / (inp.kappa1 * inp.j)
     amp = (inp.theta_star - inp.theta_in) - drift * x_star
     em = -math.expm1(-alpha * x_star)
+    return alpha, drift, amp, em
+
+
+def _liquid_temperature(inp, x_star, x):
+    # c2*exp(alpha*x) + c1 rewritten so nothing overflows for large alpha*x_star
+    alpha, drift, amp, em = _liquid_coefficients(inp, x_star)
     damp = math.exp(-alpha * x_star)
     return inp.theta_in + drift * x + amp * (math.exp(alpha * (x - x_star)) - damp) / em
 
 
 def _liquid_slope(inp, x_star, x):
-    alpha = inp.kappa1 * inp.j / inp.d1
-    drift = inp.r / (inp.kappa1 * inp.j)
-    amp = (inp.theta_star - inp.theta_in) - drift * x_star
-    em = -math.expm1(-alpha * x_star)
+    alpha, drift, amp, em = _liquid_coefficients(inp, x_star)
     return drift + amp * alpha * math.exp(alpha * (x - x_star)) / em
+
+
+def _liquid_peak(inp, x_star):
+    """Largest liquid temperature on [0, x_star] and its position.
+
+    theta_1'' = amp * alpha^2 * exp(alpha*(x - x_star)) / em has the sign of
+    amp, so theta_1' is monotone on the interval: the maximum lies at an
+    endpoint unless theta_1' falls from positive to negative inside it, and
+    then at the one root of theta_1'.
+    """
+    candidates = [0.0, x_star]
+    if _liquid_slope(inp, x_star, 0.0) > 0.0 > _liquid_slope(inp, x_star, x_star):
+        alpha, drift, amp, em = _liquid_coefficients(inp, x_star)
+        # theta_1' = 0 where exp(alpha*(x - x_star)) = drift*em/(-amp*alpha); logs cannot overflow
+        x_peak = x_star + (math.log(drift) + math.log(em)
+                           - math.log(-amp) - math.log(alpha)) / alpha
+        if 0.0 < x_peak < x_star:
+            candidates.append(x_peak)
+    return max((_liquid_temperature(inp, x_star, x), x) for x in candidates)
+
+
+def _liquid_noise_floor(inp, x_star):
+    # round-off model of _liquid_temperature on [0, x_star]: the difference of
+    # two exponentials near 1 is exact only to ~eps, and amp/em amplifies it
+    # when alpha*x_star is small
+    _, drift, amp, em = _liquid_coefficients(inp, x_star)
+    return _EPS * (abs(inp.theta_in) + drift * x_star + 4.0 * abs(amp) / em)
 
 
 def temperature_profiles(sol, x):
@@ -236,13 +273,16 @@ def solve_stationary(inputs):
     inequality as its reason.  Otherwise the free boundary is located
     (the equality case routes through the zero-slope critical position),
     and the interfacial heat balance plus the theta_1 <= theta_star bound
-    are certified before returning.
+    are certified before returning.  The bound is checked at the exact
+    maximiser of the liquid profile, with the round-off of the profile's
+    float evaluation added.
     """
     slope2 = inputs.r / (inputs.kappa2 * inputs.j)
     u2 = None if inputs.rho_gas is None else inputs.j / inputs.rho_gas
     if not dryout_condition(inputs):
         return DryoutSolution(exists=False, reason=NO_DRYOUT_REASON, x_star=None,
-                              c1=None, c2=None, slope2=slope2, u2=u2, inputs=inputs)
+                              c1=None, c2=None, slope2=slope2, u2=u2, inputs=inputs,
+                              heat_balance_residual=None)
 
     fbp = canonical_reduction(inputs)
     if fbp.z0 == 0.0:
@@ -260,9 +300,6 @@ def solve_stationary(inputs):
         c2 = (fbp.y0 - drift * x_star) / math.expm1(s)
     c1 = inputs.theta_in - c2
 
-    sol = DryoutSolution(exists=True, reason="", x_star=x_star, c1=c1, c2=c2,
-                         slope2=slope2, u2=u2, inputs=inputs)
-
     residual = (inputs.ell * inputs.j + inputs.d2 * slope2
                 - inputs.d1 * _liquid_slope(inputs, x_star, x_star))
     tol = (1e-9 * abs(inputs.ell * inputs.j)
@@ -271,7 +308,9 @@ def solve_stationary(inputs):
         raise NoConvergence(f"interfacial heat-balance residual {residual} above tolerance")
 
     bound = inputs.theta_star + 1e-9 * (inputs.theta_star - inputs.theta_in)
-    for x in np.linspace(0.0, x_star, 1000):
-        if _liquid_temperature(inputs, x_star, float(x)) > bound:
-            raise NoConvergence(f"liquid temperature exceeds theta_star at x={x}")
-    return sol
+    theta_max, x_max = _liquid_peak(inputs, x_star)
+    if theta_max + _liquid_noise_floor(inputs, x_star) > bound:
+        raise NoConvergence(f"liquid temperature not certified below theta_star at x={x_max}")
+    return DryoutSolution(exists=True, reason="", x_star=x_star, c1=c1, c2=c2,
+                          slope2=slope2, u2=u2, inputs=inputs,
+                          heat_balance_residual=residual)

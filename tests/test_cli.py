@@ -1,6 +1,12 @@
+import contextlib
+import io
 import math
+import pathlib
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dryout import FreeBoundaryProblem, solve_free_boundary
 from dryout.cli import (
@@ -339,6 +345,18 @@ class TestExitCodeContract:
         assert code == 2
         assert "not finite" in captured.err
 
+    @pytest.mark.parametrize("mode", ["direct", "eos"])
+    def test_flux_whose_square_underflows_is_invalid(self, tmp_path, capsys, mode):
+        config = DIRECT_CFG if mode == "direct" else EOS_CFG
+        code, captured = self.run_main(tmp_path, capsys, with_value(config, "j_flux", "1e-300"))
+        assert code == 2
+        assert "j^2 underflows" in captured.err
+
+    def test_eos_excluded_volume_whose_square_underflows_is_invalid(self, tmp_path, capsys):
+        code, captured = self.run_main(tmp_path, capsys, with_value(EOS_CFG, "b", "1e-300"))
+        assert code == 2
+        assert "underflows" in captured.err
+
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     @pytest.mark.parametrize("mode, key", [("direct", k) for k in DIRECT_KEYS]
                              + [("eos", k) for k in EOS_KEYS])
@@ -347,6 +365,42 @@ class TestExitCodeContract:
         code, captured = self.run_main(tmp_path, capsys, with_value(config, key, value))
         assert code == 2
         assert f"{key} must be finite" in captured.err
+
+
+EXTREME_VALUES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1.5e-162,
+                  1e-100, -1.0, 1e100, 1e154, 1e300, 1.7976931348623157e308,
+                  -1.7976931348623157e308, math.inf, -math.inf, math.nan)
+
+
+@st.composite
+def extreme_configs(draw):
+    """A README config with one to three numeric keys set to extreme values."""
+    mode = draw(st.sampled_from(["direct", "eos"]))
+    keys = DIRECT_KEYS if mode == "direct" else EOS_KEYS
+    config = DIRECT_CFG if mode == "direct" else EOS_CFG
+    changes = draw(st.dictionaries(
+        st.sampled_from(keys),
+        st.one_of(st.sampled_from(EXTREME_VALUES), st.floats()),
+        min_size=1, max_size=3))
+    for key, value in changes.items():
+        config = with_value(config, key, repr(value))
+    return config
+
+
+class TestExitCodeProperty:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(extreme_configs())
+    def test_every_config_ends_in_a_documented_exit_code(self, config):
+        codes = []
+        with tempfile.TemporaryDirectory() as scratch:
+            path = write(pathlib.Path(scratch), "x.cfg", config)
+            for _ in range(2):
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    codes.append(main(["dryout", path]))
+                assert "Traceback" not in err.getvalue()
+        assert codes[0] in (0, 1, 2, 3)
+        assert codes[0] == codes[1]
 
 
 class TestPipelineDecoupling:

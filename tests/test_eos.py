@@ -212,6 +212,11 @@ class TestCriticalPoint:
         with pytest.raises(NoCriticalPoint):
             critical_point(ideal_gas(1.0, 1.0))
 
+    @pytest.mark.parametrize("k2, b", [(2.0, 1e-300), (1e-300, 1e-100)])
+    def test_underflowing_scales_are_invalid(self, k2, b):
+        with pytest.raises(InvalidInput, match="underflows"):
+            critical_point(EosModel(k1=1.0, k2=k2, a=3.0, b=b))
+
     def test_pressure_derivatives_vanish_there(self):
         # second derivative via central difference of the analytic first
         # derivative: a plain second difference bottoms out near 5e-8

@@ -21,7 +21,6 @@ from dryout.errors import (
     ContinuationFailed,
     DegenerateGap,
     InvalidInput,
-    OutOfRange,
 )
 from dryout.numerics import fd_gradient
 
@@ -222,29 +221,6 @@ class TestSolveInterface:
     def test_just_above_fold_fails(self):
         with pytest.raises(ContinuationFailed):
             solve_interface(reduced(), V_L_09, FOLD_FLUX_09 * 1.02)
-
-    def test_gas_side_zero_flux_round_trip(self):
-        m = reduced()
-        sat = maxwell_construction(m, 0.9)
-        sol = solve_interface(m, sat.v_g_star, 0.0, side="gas")
-        assert abs(sol.theta_b - 0.9) < 1e-9
-        assert rel_err(sol.v_l, sat.v_l_star) < 1e-9
-        assert sol.v_g == sat.v_g_star
-
-    def test_gas_side_small_flux(self):
-        m = reduced()
-        sat = maxwell_construction(m, 0.9)
-        sol = solve_interface(m, sat.v_g_star, 0.1, side="gas")
-        assert sol.theta_star > sol.theta_b
-        assert sol.v_l > sat.v_l_star
-
-    def test_gas_side_requires_supercritical_volume(self):
-        with pytest.raises(OutOfRange):
-            solve_interface(reduced(), 0.9, 0.1, side="gas")
-
-    def test_bad_side_flag(self):
-        with pytest.raises(InvalidInput):
-            solve_interface(reduced(), V_L_09, 0.1, side="vapour")
 
     @pytest.mark.parametrize("j", [1e200, math.inf, math.nan])
     def test_flux_with_non_finite_kinetic_parameter(self, j):

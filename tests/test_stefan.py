@@ -16,7 +16,7 @@ from dryout import (
     xhat_critical,
     z0_of_xhat,
 )
-from dryout.errors import InvalidInput, NegativePosition, NoDryout
+from dryout.errors import InvalidInput, NegativePosition, NoConvergence, NoDryout
 from dryout.stefan import NO_DRYOUT_REASON
 
 from helpers import rel_err, strictly_decreasing, strictly_increasing
@@ -71,6 +71,12 @@ class TestCanonicalReduction:
     def test_non_finite_rejected_at_type_level(self, name, value):
         with pytest.raises(InvalidInput, match=f"{name} must be finite"):
             unit_inputs(**{name: value})
+
+    @pytest.mark.parametrize("overrides", [dict(j=1e-300), dict(kappa2=5e-324, j=0.1),
+                                           dict(kappa1=1e-300, j=1e-10, d1=1e20)])
+    def test_rates_that_underflow_rejected_at_type_level(self, overrides):
+        with pytest.raises(InvalidInput, match="underflow"):
+            unit_inputs(**overrides)
 
     def test_positivity_enforced(self):
         with pytest.raises(InvalidInput):
@@ -232,11 +238,64 @@ class TestSolveStationary:
         residual = (inp.ell * inp.j + inp.d2 * sol.slope2
                     - inp.d1 * _liquid_slope(inp, sol.x_star, sol.x_star))
         assert abs(residual) <= 1e-9 * abs(inp.ell * inp.j)
+        assert sol.heat_balance_residual == residual
+        assert solve_stationary(unit_inputs(ell=-1.0, j=1.5)).heat_balance_residual is None
 
     def test_liquid_stays_below_interface_temperature(self):
         sol = solve_stationary(unit_inputs(j=0.3))
         for x in np.linspace(0.0, sol.x_star, 1000):
             assert temperature_profiles(sol, float(x)) <= sol.inputs.theta_star + 1e-9
+
+    def test_closed_form_liquid_peak_matches_dense_grid(self):
+        from dryout.stefan import _liquid_peak, _liquid_slope, _liquid_temperature
+        interior = endpoint = 0
+        for j, theta_in in ((0.3, -2.0), (0.7, -0.5), (1.0, -2.0), (2.0, -4.0),
+                            (1e-3, -1.0), (30.0, -2.0)):
+            inp = unit_inputs(j=j, theta_in=theta_in, ell=-1e-4)
+            x_star = solve_stationary(inp).x_star
+            # pinned at other lengths the profile overshoots theta_star inside
+            # (concave) or stays below it (convex): both closed-form branches run
+            for stretch in (0.3, 1.0, 1.5, 3.0, 10.0):
+                length = stretch * x_star
+                peak, at = _liquid_peak(inp, length)
+                xs = np.linspace(0.0, length, 20001)
+                grid_max = max(_liquid_temperature(inp, length, float(x)) for x in xs)
+                # theta_1' is monotone, so the grid point nearest the peak lies
+                # within half a spacing at a slope no steeper than at the ends
+                steepest = max(abs(_liquid_slope(inp, length, x)) for x in (0.0, length))
+                slack = 0.5 * (xs[1] - xs[0]) * steepest + 1e-13 * (abs(peak) + 1.0)
+                assert grid_max <= peak + 1e-13 * (abs(peak) + 1.0)
+                assert peak <= grid_max + slack
+                assert peak == _liquid_temperature(inp, length, at)
+                if 0.0 < at < length:
+                    interior += 1
+                else:
+                    endpoint += 1
+        assert interior > 0 and endpoint > 0
+
+    @pytest.mark.parametrize("overrides", [dict(), dict(j=0.3), dict(kappa1=1e-3),
+                                           dict(kappa1=1e-8), dict(kappa2=1e-6), dict(d1=1e5)])
+    def test_liquid_noise_floor_bounds_the_round_off(self, overrides):
+        import mpmath as mp
+        from dryout.stefan import _liquid_noise_floor, _liquid_temperature
+        inp = unit_inputs(**overrides)
+        x_star = solve_free_boundary(canonical_reduction(inp))
+        worst = 0.0
+        with mp.workdps(40):
+            alpha = mp.mpf(inp.kappa1) * inp.j / inp.d1
+            drift = mp.mpf(inp.r) / (mp.mpf(inp.kappa1) * inp.j)
+            amp = (mp.mpf(inp.theta_star) - inp.theta_in) - drift * x_star
+            for x in np.linspace(0.0, x_star, 401):
+                x = float(x)
+                exact = (inp.theta_in + drift * x
+                         + amp * mp.expm1(alpha * x) / mp.expm1(alpha * x_star))
+                worst = max(worst, abs(float(_liquid_temperature(inp, x_star, x) - exact)))
+        assert worst <= _liquid_noise_floor(inp, x_star)
+
+    def test_liquid_profile_too_noisy_to_certify_is_refused(self):
+        # alpha*x_star = 1.6e-8: theta_1 loses ~0.5 of its 2.0 span to round-off
+        with pytest.raises(NoConvergence, match="not certified below theta_star"):
+            solve_stationary(unit_inputs(kappa1=1e-8))
 
     def test_profile_constants_reproduce_closed_form(self):
         inp = unit_inputs(j=0.7)
