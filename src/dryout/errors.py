@@ -46,18 +46,25 @@ class DegenerateGap(DryoutError):
 
 
 class ContinuationFailed(DryoutError):
-    """Flux continuation stalled before the target kinetic parameter.
+    """Flux continuation did not reach the target kinetic parameter.
 
-    Interpreted as "no stationary phase transition found at this flux";
-    it is a numerical verdict, not a proof of nonexistence.
+    When ``j_fold`` is set the verdict is "j exceeds the located fold
+    j_f": the branch continued from zero flux turns back at j_f = j_fold,
+    so it holds no stationary phase transition at this flux.  When the
+    fold could not be bracketed ``j_fold`` is None and the verdict is only
+    "continuation stalled": a numerical verdict, not a proof of
+    nonexistence.  ``z_reached`` is the last certified Z and ``theta``,
+    ``v`` the state there.
     """
 
-    def __init__(self, message, z_reached=0.0, theta=None, v=None, sign_changes=None):
+    def __init__(self, message, z_reached=0.0, theta=None, v=None, sign_changes=None,
+                 j_fold=None):
         super().__init__(message)
         self.z_reached = z_reached
         self.theta = theta
         self.v = v
         self.sign_changes = sign_changes
+        self.j_fold = j_fold
 
 
 class AllFailed(DryoutError):

@@ -7,7 +7,9 @@ solves its zero-flux case for the boiling temperature) couples the
 momentum balance and the energy (Gibbs-Thomson) balance at that fixed
 liquid volume; its unique zero-flux root is the saturation seed, from
 which solutions at positive mass flux are tracked by adaptive
-continuation in the kinetic parameter Z = j^2 / 2.
+continuation in the kinetic parameter Z = j^2 / 2.  The branch ends at a
+fold, which :func:`solve_interface` locates when a continuation step
+first fails, and fluxes past it are refused.
 """
 
 from __future__ import annotations
@@ -23,12 +25,13 @@ from .errors import (
     ContinuationFailed,
     DegenerateGap,
     DomainError,
+    DryoutError,
     InvalidInput,
     NoConvergence,
     SingularJacobian,
 )
-# find_root_bracketed, descend_to_bracket: unused here; the benchmark tracer patches these names
 from .numerics import RootConfig, find_root_bracketed, newton2d
+# descend_to_bracket: unused here; the benchmark tracer patches this name
 from .saturation import (
     boiling_temperature,
     descend_to_bracket,
@@ -105,8 +108,13 @@ def solve_interface(model, v_l, j):
     Continuation starts from the zero-flux saturation seed, the boiling
     temperature of ``v_l`` and its saturated gas volume, with geometric
     steps in Z = j^2/2, doubling on success and halving on Newton failure.
-    A stall before the target raises :class:`ContinuationFailed`, the
-    signature of the large-flux nonexistence regime.
+
+    At the first failed step :func:`_locate_fold` locates the fold Z_f of
+    the branch once.  A target above Z_f (1 + 1e-9) raises
+    :class:`ContinuationFailed` at once, carrying j_f = sqrt(2 Z_f): no
+    stationary transition on this branch reaches that flux.  Otherwise, or
+    when the fold could not be bracketed, the step keeps halving, and a
+    stall before the target raises :class:`ContinuationFailed` too.
     """
     if j < 0.0:
         raise InvalidInput("mass flux must be non-negative")
@@ -134,10 +142,21 @@ def solve_interface(model, v_l, j):
         jac = lambda x: f_jacobian(model, v_l, x[0], x[1], z) / scale
         return newton2d(resid, jac, x0, RootConfig(abs_tol=1e-12, x_tol=1e-15, max_iter=50))
 
+    def refusal(message, j_fold):
+        return ContinuationFailed(
+            message,
+            z_reached=z_cur,
+            theta=float(x[0]),
+            v=float(x[1]),
+            sign_changes=sign_changes_modified(model, float(x[0]), j, 2000),
+            j_fold=j_fold,
+        )
+
     z_cur = 0.0
     x = np.array([theta_b, v_g0])
     dz = 1e-6 * cp.p_c / cp.v_c
     steps = 0
+    located, j_fold = False, None
     while z_cur < z_target:
         step = min(dz, z_target - z_cur)
         z_next = z_cur + step
@@ -146,16 +165,22 @@ def solve_interface(model, v_l, j):
         try:
             x_new = newton_at(z_next, x)
         except (NoConvergence, SingularJacobian, DomainError, DegenerateGap):
+            if not located:
+                located = True
+                z_fold = _locate_fold(model, v_l, float(x[0]), float(x[1]))
+                if z_fold is not None:
+                    j_fold = math.sqrt(2.0 * z_fold)
+                    if z_target > z_fold * (1.0 + 1e-9):
+                        raise refusal(
+                            "no stationary phase transition at this flux "
+                            f"(j={j:.15g} exceeds the located fold j_f={j_fold:.15g})",
+                            j_fold) from None
             dz = 0.5 * step
             if dz < 1e-12 * z_target:
-                raise ContinuationFailed(
+                raise refusal(
                     "no stationary phase transition found at this flux "
                     f"(continuation stalled at Z={z_cur:.6g} of {z_target:.6g})",
-                    z_reached=z_cur,
-                    theta=float(x[0]),
-                    v=float(x[1]),
-                    sign_changes=sign_changes_modified(model, float(x[0]), j, 2000),
-                ) from None
+                    j_fold) from None
             continue
         z_cur = z_next
         x = x_new
@@ -168,6 +193,57 @@ def solve_interface(model, v_l, j):
         raise NoConvergence(
             f"interface residual {max(abs(fvals[0]), abs(fvals[1]))} above 1e-10 * p_c")
     return build(theta_star, v_g, z_target, steps)
+
+
+def _locate_fold(model, v_l, theta, v):
+    """Kinetic parameter Z_f at the fold of the branch through (theta, v), or None.
+
+    The sum f1 + f2 of ``f_system`` does not depend on Z: for each gas
+    volume it fixes theta (a scalar Newton solve seeded from the previous
+    theta), and the difference f1 - f2 = 0 then gives Z = (p_l - p_g) /
+    (2 (v - v_l)) in closed form.  So the gas volume parametrises the
+    branch, regularly through the fold, where dZ/dv along it,
+    -det J / ((v - v_l) d(f1 + f2)/dtheta), vanishes (Allgower & Georg,
+    *Introduction to Numerical Continuation Methods*, SIAM 2003).  The root
+    is bracketed upward from ``v`` by stretching v - v_l and then solved by
+    :func:`find_root_bracketed`.  None when (theta, v) is not on the rising
+    part of the branch or no bracket is found.
+    """
+    cp = model.critical_point()
+    seed = [theta]
+
+    def on_branch(v):
+        theta = seed[0]
+        for _ in range(20):
+            f1, f2 = f_system(model, v_l, theta, v, 0.0)
+            jac = f_jacobian(model, v_l, theta, v, 0.0)
+            step = (f1 + f2) / (jac[0, 0] + jac[1, 0])
+            theta -= step
+            if abs(step) <= 1e-12 * theta:
+                seed[0] = theta
+                z = 0.5 * (model.pressure(v_l, theta) - model.pressure(v, theta)) / (v - v_l)
+                return theta, z
+        raise NoConvergence(f"theta on the branch at v={v} did not converge")
+
+    def dz_dv(v):
+        theta, z = on_branch(v)
+        jac = f_jacobian(model, v_l, theta, v, z)
+        det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
+        return -det / ((v - v_l) * (jac[0, 0] + jac[1, 0])) * cp.v_c ** 2 / cp.p_c
+
+    try:
+        if not dz_dv(v) > 0.0:
+            return None
+        lo, gap = v, v - v_l
+        for k in range(12):
+            hi = v_l + gap * (1.0 + 0.125 * 2.0 ** k)
+            if dz_dv(hi) <= 0.0:
+                v_f = find_root_bracketed(dz_dv, lo, hi, RootConfig(x_tol=1e-13 * cp.v_c))
+                return on_branch(v_f)[1]
+            lo = hi
+    except (DryoutError, ArithmeticError):
+        pass
+    return None
 
 
 def sign_changes_modified(model, theta, j, n_grid):

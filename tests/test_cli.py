@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dryout import FreeBoundaryProblem, solve_free_boundary
+from dryout import FreeBoundaryProblem, interface, solve_free_boundary
 from dryout.cli import (
     RunOptions,
     Series,
@@ -175,6 +175,24 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert code == 1
         assert "no stationary phase transition" in err
+
+    def test_flux_past_the_fold_names_the_located_fold(self, tmp_path, capsys):
+        # the fold of this config's branch (40-digit oracle: 0.29774727410281745)
+        text = EOS_CFG.replace("j_flux = 0.1", "j_flux = 0.5")
+        code = main(["interface", write(tmp_path, "fast.cfg", text)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "exceeds the located fold j_f=0.2977472741" in err
+        assert "Traceback" not in err
+
+    def test_unbracketed_fold_is_still_a_refusal(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(interface, "_locate_fold", lambda *args: None)
+        text = EOS_CFG.replace("j_flux = 0.1", "j_flux = 0.5")
+        code = main(["interface", write(tmp_path, "fast.cfg", text)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "continuation stalled" in err
+        assert "Traceback" not in err
 
     def test_near_critical_liquid_density_exit_code(self, tmp_path, capsys):
         # passes static validation but the boiling temperature lies above the

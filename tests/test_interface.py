@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dryout import (
+    EosModel,
     JumpInputs,
     boiling_temperature,
     f_jacobian,
@@ -16,13 +17,14 @@ from dryout import (
     sign_changes_modified,
     solve_interface,
 )
+from dryout import interface
 from dryout.errors import (
     AllFailed,
     ContinuationFailed,
     DegenerateGap,
     InvalidInput,
 )
-from dryout.numerics import fd_gradient
+from dryout.numerics import fd_gradient, newton2d
 
 from helpers import FOLD_FLUX_09, V_L_09, reduced, rel_err, strictly_increasing
 
@@ -222,6 +224,59 @@ class TestSolveInterface:
         with pytest.raises(ContinuationFailed):
             solve_interface(reduced(), V_L_09, FOLD_FLUX_09 * 1.02)
 
+    def test_refusal_reports_the_located_fold(self):
+        with pytest.raises(ContinuationFailed, match="exceeds the located fold") as info:
+            solve_interface(reduced(), V_L_09, 1.3 * FOLD_FLUX_09)
+        exc = info.value
+        assert rel_err(exc.j_fold, FOLD_FLUX_09) < 1e-10
+        # z_reached stays the last certified step, below the fold
+        assert 0.0 < exc.z_reached < 0.5 * exc.j_fold ** 2
+        assert exc.theta is not None and exc.v is not None
+        assert exc.sign_changes is not None
+
+    def test_refusal_past_the_fold_takes_few_newton_solves(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return newton2d(*args, **kwargs)
+
+        monkeypatch.setattr(interface, "newton2d", counting)
+        with pytest.raises(ContinuationFailed):
+            solve_interface(reduced(), V_L_09, 1.3 * FOLD_FLUX_09)
+        # halving into the fold took about 95
+        assert len(calls) <= 20
+
+    def test_converging_solve_never_locates_the_fold(self, monkeypatch):
+        calls = []
+
+        def recording(*args):
+            calls.append(args)
+            return locate(*args)
+
+        locate = interface._locate_fold
+        monkeypatch.setattr(interface, "_locate_fold", recording)
+        sol = solve_interface(reduced(), V_L_09, 0.9 * FOLD_FLUX_09)
+        assert sol.Z == pytest.approx(0.5 * (0.9 * FOLD_FLUX_09) ** 2, rel=1e-15)
+        assert calls == []
+
+    def test_unbracketed_fold_falls_back_to_halving(self, monkeypatch):
+        monkeypatch.setattr(interface, "_locate_fold", lambda *args: None)
+        with pytest.raises(ContinuationFailed, match="continuation stalled") as info:
+            solve_interface(reduced(), V_L_09, 1.3 * FOLD_FLUX_09)
+        exc = info.value
+        assert exc.j_fold is None
+        # the halving may certify a step past the fold by what the Newton
+        # residual tolerance admits
+        assert 0.0 < exc.z_reached < 0.5 * FOLD_FLUX_09 ** 2 * (1.0 + 1e-9)
+
+    def test_flux_within_the_margin_above_the_fold_is_left_to_halving(self):
+        # 0.5 j^2 lies above Z_f by less than the 1e-9 margin: the halving
+        # stalls, and its verdict still carries the located fold
+        with pytest.raises(ContinuationFailed, match="continuation stalled") as info:
+            solve_interface(reduced(), V_L_09, FOLD_FLUX_09 * (1.0 + 2e-10))
+        assert rel_err(info.value.j_fold, FOLD_FLUX_09) < 1e-10
+
     @pytest.mark.parametrize("j", [1e200, math.inf, math.nan])
     def test_flux_with_non_finite_kinetic_parameter(self, j):
         with pytest.raises(InvalidInput, match="not finite"):
@@ -230,8 +285,6 @@ class TestSolveInterface:
 
 class TestNonReducedScaling:
     def test_continuation_on_si_scaled_model(self):
-        from dryout import EosModel, boiling_temperature, maxwell_construction
-
         m = EosModel(k1=4180.0, k2=461.5, a=1700.0, b=9.5e-4)
         cp = m.critical_point()
         sat = maxwell_construction(m, 0.8 * cp.theta_c)
@@ -245,6 +298,21 @@ class TestNonReducedScaling:
         assert abs(d_g - d_l) <= 1e-9 * max(abs(d_l), abs(d_g))
         j_rec = math.sqrt((sol.p_l - sol.p_g) / (sol.v_g - sol.v_l))
         assert rel_err(j_rec, j) < 1e-8
+
+    @pytest.mark.parametrize("fraction", [0.6, 0.8, 0.95])
+    def test_located_fold_separates_converging_and_refused_fluxes(self, fraction):
+        m = EosModel(k1=4180.0, k2=461.5, a=1700.0, b=9.5e-4)
+        cp = m.critical_point()
+        v_l = maxwell_construction(m, fraction * cp.theta_c).v_l_star
+        with pytest.raises(ContinuationFailed) as info:
+            solve_interface(m, v_l, math.sqrt(cp.p_c / cp.v_c))
+        j_fold = info.value.j_fold
+        assert j_fold is not None
+        sol = solve_interface(m, v_l, 0.999 * j_fold)
+        assert sol.Z == pytest.approx(0.5 * (0.999 * j_fold) ** 2, rel=1e-15)
+        with pytest.raises(ContinuationFailed, match="exceeds the located fold") as info:
+            solve_interface(m, v_l, 1.001 * j_fold)
+        assert info.value.j_fold == j_fold
 
 
 class TestSignChanges:
