@@ -344,14 +344,13 @@ def _run_saturation(config, options):
 def _run_interface(config, options):
     model, sol, ell = _interface_state(config)
     lines = [
-        "interface solution (flux continuation from the zero-flux seed):",
+        "interface solution (on the branch from the zero-flux seed):",
         f"  theta_star = {_fmt(sol.theta_star)}",
         f"  rho_gas    = {_fmt(1.0 / sol.v_g)}",
         f"  p_liquid   = {_fmt(sol.p_l)}",
         f"  p_gas      = {_fmt(sol.p_g)}",
         f"  ell        = {_fmt(ell)}",
         f"  theta_b    = {_fmt(sol.theta_b)}",
-        f"  steps      = {sol.steps}",
     ]
     diags = []
     _interface_diagnostics(model, sol, diags)

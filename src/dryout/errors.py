@@ -46,24 +46,20 @@ class DegenerateGap(DryoutError):
 
 
 class ContinuationFailed(DryoutError):
-    """Flux continuation did not reach the target kinetic parameter.
+    """No stationary interface state on the zero-flux branch at this flux.
 
-    When ``j_fold`` is set the verdict is "j exceeds the located fold
-    j_f": the branch continued from zero flux turns back at j_f = j_fold,
-    so it holds no stationary phase transition at this flux.  When the
-    fold could not be bracketed ``j_fold`` is None and the verdict is only
-    "continuation stalled": a numerical verdict, not a proof of
-    nonexistence.  ``z_reached`` is the last certified Z and ``theta``,
-    ``v`` the state there.
+    The branch of the interface system through the zero-flux seed rises in
+    Z = j^2/2 up to a fold at Z_f and turns back there, so it holds no
+    stationary phase transition at a larger flux.  ``j_fold`` is the
+    located fold flux sqrt(2 Z_f); ``z_reached`` is Z_f and ``theta``,
+    ``v`` the interface temperature and gas volume at the fold.
     """
 
-    def __init__(self, message, z_reached=0.0, theta=None, v=None, sign_changes=None,
-                 j_fold=None):
+    def __init__(self, message, z_reached=0.0, theta=None, v=None, j_fold=None):
         super().__init__(message)
         self.z_reached = z_reached
         self.theta = theta
         self.v = v
-        self.sign_changes = sign_changes
         self.j_fold = j_fold
 
 

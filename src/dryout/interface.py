@@ -1,15 +1,15 @@
-"""Jump conditions across a flat interface and the flux-continuation solver.
+"""Jump conditions across a flat interface and the interface-state solver.
 
 The liquid volume is the given datum, as in the dryout problem: the
 interface temperature and the gas volume are the unknowns.  The coupled
 residual pair ``f_system`` (defined in :mod:`dryout.saturation`, which
 solves its zero-flux case for the boiling temperature) couples the
 momentum balance and the energy (Gibbs-Thomson) balance at that fixed
-liquid volume; its unique zero-flux root is the saturation seed, from
-which solutions at positive mass flux are tracked by adaptive
-continuation in the kinetic parameter Z = j^2 / 2.  The branch ends at a
-fold, which :func:`solve_interface` locates when a continuation step
-first fails, and fluxes past it are refused.
+liquid volume; its unique zero-flux root is the saturation seed.  The
+solutions at positive mass flux lie on the branch through that seed,
+which :func:`solve_interface` follows in the gas volume, where it is
+regular, up to the target kinetic parameter Z = j^2 / 2.  The branch ends
+at a fold, and fluxes past it are refused.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .errors import (
     ContinuationFailed,
     DegenerateGap,
     DomainError,
-    DryoutError,
     InvalidInput,
     NoConvergence,
     SingularJacobian,
@@ -75,7 +74,6 @@ class InterfaceSolution:
     Z: float
     j: float
     theta_b: float
-    steps: int
     v_l: float
 
 
@@ -101,20 +99,38 @@ def jump_residuals(model, inputs):
     return r_momentum, r_energy, r_energy_alt
 
 
+_EPS = 2.220446049250313e-16
+# factors by which the walk along the branch stretches v - v_l from the seed
+_STRETCH = tuple(1.0 + 0.125 * 2.0 ** k for k in range(12))
+
+
 def solve_interface(model, v_l, j):
     """Interface temperature and gas volume at liquid volume ``v_l`` and mass flux ``j``.
 
-    The liquid volume is held fixed and (theta, v_g) are solved.
-    Continuation starts from the zero-flux saturation seed, the boiling
-    temperature of ``v_l`` and its saturated gas volume, with geometric
-    steps in Z = j^2/2, doubling on success and halving on Newton failure.
+    The liquid volume is held fixed and (theta, v_g) are solved on the
+    branch of ``f_system`` through the zero-flux saturation seed, the
+    boiling temperature of ``v_l`` and its saturated gas volume.  The sum
+    f1 + f2 does not depend on Z: for each gas volume v it fixes theta (a
+    scalar Newton solve seeded from the previous theta), and f1 - f2 = 0
+    then gives Z(v) = (p_l - p_g) / (2 (v - v_l)) in closed form.  So v
+    parametrises the branch, regularly through its fold, where
+    dZ/dv = -det J / ((v - v_l) d(f1 + f2)/dtheta) vanishes (Allgower &
+    Georg, *Introduction to Numerical Continuation Methods*, SIAM 2003).
 
-    At the first failed step :func:`_locate_fold` locates the fold Z_f of
-    the branch once.  A target above Z_f (1 + 1e-9) raises
-    :class:`ContinuationFailed` at once, carrying j_f = sqrt(2 Z_f): no
-    stationary transition on this branch reaches that flux.  Otherwise, or
-    when the fold could not be bracketed, the step keeps halving, and a
-    stall before the target raises :class:`ContinuationFailed` too.
+    From the seed, v - v_l is stretched upward until Z(v) reaches
+    Z = j^2/2 or dZ/dv turns non-positive; in the second case the fold v_f
+    is solved by :func:`find_root_bracketed` and closes the bracket.
+    Z(v) = j^2/2 is then solved on the rising part, and one damped Newton
+    solve of ``f_system`` at that Z polishes (theta, v), whose residual is
+    certified below 1e-10 p_c.  A target within the round-off of Z at the
+    seed is polished from the seed.
+
+    A target above Z_f (1 + 1e-9) raises :class:`ContinuationFailed`
+    carrying j_fold = sqrt(2 Z_f) and the fold state: no stationary
+    transition on this branch reaches that flux.  A target in that margin
+    at or above Z_f is polished from the fold, and refused the same way if
+    the polish fails.  A walk that brackets neither the target nor the
+    fold raises :class:`NoConvergence`.
     """
     if j < 0.0:
         raise InvalidInput("mass flux must be non-negative")
@@ -125,125 +141,97 @@ def solve_interface(model, v_l, j):
     v_g0 = maxwell_construction(model, theta_b).v_g_star
     cp = model.critical_point()
 
-    def build(theta, v_g, Z, steps):
+    def build(theta, v_g, Z):
         return InterfaceSolution(
             theta_star=float(theta), v_g=float(v_g),
             p_l=float(model.pressure(v_l, theta)), p_g=float(model.pressure(v_g, theta)),
-            Z=float(Z), j=float(j), theta_b=float(theta_b), steps=steps, v_l=float(v_l))
+            Z=float(Z), j=float(j), theta_b=float(theta_b), v_l=float(v_l))
 
     z_target = 0.5 * j * j
     if z_target == 0.0:
-        return build(theta_b, v_g0, 0.0, 0)
+        return build(theta_b, v_g0, 0.0)
 
-    scale = cp.p_c
+    seen = {}  # v -> (theta, Z): every solve below sees the values the walk saw
 
-    def newton_at(z, x0):
-        resid = lambda x: np.array(f_system(model, v_l, x[0], x[1], z)) / scale
-        jac = lambda x: f_jacobian(model, v_l, x[0], x[1], z) / scale
-        return newton2d(resid, jac, x0, RootConfig(abs_tol=1e-12, x_tol=1e-15, max_iter=50))
+    def on_branch(v):
+        if v not in seen:
+            theta = next(reversed(seen.values()))[0] if seen else theta_b
+            for _ in range(20):
+                f1, f2 = f_system(model, v_l, theta, v, 0.0)
+                jac = f_jacobian(model, v_l, theta, v, 0.0)
+                step = (f1 + f2) / (jac[0, 0] + jac[1, 0])
+                theta -= step
+                if abs(step) <= 1e-12 * theta:
+                    break
+            else:
+                raise NoConvergence(f"theta on the branch at v={v} did not converge")
+            p_l, p_g = model.pressure(v_l, theta), model.pressure(v, theta)
+            seen[v] = theta, 0.5 * (p_l - p_g) / (v - v_l)
+        return seen[v]
 
-    def refusal(message, j_fold):
+    def dz_dv(v):
+        theta, z = on_branch(v)
+        jac = f_jacobian(model, v_l, theta, v, max(z, 0.0))  # Z < 0 is round-off at the seed
+        det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
+        return -det / ((v - v_l) * (jac[0, 0] + jac[1, 0]))
+
+    def refusal(why):  # hi is the fold here
+        theta_f, z_f = on_branch(hi)
+        j_fold = math.sqrt(2.0 * z_f)
         return ContinuationFailed(
-            message,
-            z_reached=z_cur,
-            theta=float(x[0]),
-            v=float(x[1]),
-            sign_changes=sign_changes_modified(model, float(x[0]), j, 2000),
-            j_fold=j_fold,
-        )
+            f"no stationary phase transition at this flux (j={j:.15g} {why} "
+            f"the located fold j_f={j_fold:.15g})",
+            z_reached=z_f, theta=theta_f, v=hi, j_fold=j_fold)
 
-    z_cur = 0.0
-    x = np.array([theta_b, v_g0])
-    dz = 1e-6 * cp.p_c / cp.v_c
-    steps = 0
-    located, j_fold = False, None
-    while z_cur < z_target:
-        step = min(dz, z_target - z_cur)
-        z_next = z_cur + step
-        if z_target - z_next < 1e-15 * z_target:
-            z_next = z_target
-        try:
-            x_new = newton_at(z_next, x)
-        except (NoConvergence, SingularJacobian, DomainError, DegenerateGap):
-            if not located:
-                located = True
-                z_fold = _locate_fold(model, v_l, float(x[0]), float(x[1]))
-                if z_fold is not None:
-                    j_fold = math.sqrt(2.0 * z_fold)
-                    if z_target > z_fold * (1.0 + 1e-9):
-                        raise refusal(
-                            "no stationary phase transition at this flux "
-                            f"(j={j:.15g} exceeds the located fold j_f={j_fold:.15g})",
-                            j_fold) from None
-            dz = 0.5 * step
-            if dz < 1e-12 * z_target:
-                raise refusal(
-                    "no stationary phase transition found at this flux "
-                    f"(continuation stalled at Z={z_cur:.6g} of {z_target:.6g})",
-                    j_fold) from None
-            continue
-        z_cur = z_next
-        x = x_new
-        steps += 1
-        dz = 2.0 * step
+    slope = dz_dv(v_g0)
+    if not slope > 0.0:
+        raise NoConvergence(f"the branch does not rise from the boiling point (dZ/dv={slope})")
+    # Z vanishes at the seed up to its round-off; a target below that is the seed itself
+    theta_0, z_0 = on_branch(v_g0)
+    z_round = abs(z_0) + _EPS * abs(model.pressure(v_g0, theta_0)) / (v_g0 - v_l)
+    lo = hi = v_g0
+    z_f = math.inf  # Z at the fold, once the walk has bracketed it
+    if z_target > z_round:
+        for factor in _STRETCH:
+            hi = v_l + (v_g0 - v_l) * factor
+            if not dz_dv(hi) > 0.0:
+                hi = find_root_bracketed(
+                    dz_dv, lo, hi, RootConfig(abs_tol=1e-14 * slope, x_tol=1e-14 * hi))
+                z_f = on_branch(hi)[1]
+                break
+            if on_branch(hi)[1] >= z_target:
+                break
+            lo = hi
+        else:
+            raise NoConvergence(
+                f"the branch brackets neither Z={z_target:.6g} nor its fold below v={hi:.6g}")
+
+    if z_target > z_f * (1.0 + 1e-9):
+        raise refusal("exceeds")
+    if z_target >= z_f:  # inside the margin: polish from the fold itself
+        x0 = (on_branch(hi)[0], hi)
+    elif z_target <= z_round:
+        x0 = (theta_b, v_g0)
+    else:
+        v = find_root_bracketed(lambda v: on_branch(v)[1] / z_target - 1.0, lo, hi,
+                                RootConfig(abs_tol=1e-14, x_tol=1e-14 * hi))
+        x0 = (on_branch(v)[0], v)
+
+    resid = lambda x: np.array(f_system(model, v_l, x[0], x[1], z_target)) / cp.p_c
+    jac = lambda x: f_jacobian(model, v_l, x[0], x[1], z_target) / cp.p_c
+    try:
+        x = newton2d(resid, jac, x0, RootConfig(abs_tol=1e-12, x_tol=1e-15, max_iter=50))
+    except (NoConvergence, SingularJacobian, DomainError, DegenerateGap):
+        if z_target < z_f:
+            raise
+        raise refusal("lies within round-off of") from None
 
     theta_star, v_g = float(x[0]), float(x[1])
     fvals = f_system(model, v_l, theta_star, v_g, z_target)
     if max(abs(fvals[0]), abs(fvals[1])) > 1e-10 * cp.p_c:
         raise NoConvergence(
             f"interface residual {max(abs(fvals[0]), abs(fvals[1]))} above 1e-10 * p_c")
-    return build(theta_star, v_g, z_target, steps)
-
-
-def _locate_fold(model, v_l, theta, v):
-    """Kinetic parameter Z_f at the fold of the branch through (theta, v), or None.
-
-    The sum f1 + f2 of ``f_system`` does not depend on Z: for each gas
-    volume it fixes theta (a scalar Newton solve seeded from the previous
-    theta), and the difference f1 - f2 = 0 then gives Z = (p_l - p_g) /
-    (2 (v - v_l)) in closed form.  So the gas volume parametrises the
-    branch, regularly through the fold, where dZ/dv along it,
-    -det J / ((v - v_l) d(f1 + f2)/dtheta), vanishes (Allgower & Georg,
-    *Introduction to Numerical Continuation Methods*, SIAM 2003).  The root
-    is bracketed upward from ``v`` by stretching v - v_l and then solved by
-    :func:`find_root_bracketed`.  None when (theta, v) is not on the rising
-    part of the branch or no bracket is found.
-    """
-    cp = model.critical_point()
-    seed = [theta]
-
-    def on_branch(v):
-        theta = seed[0]
-        for _ in range(20):
-            f1, f2 = f_system(model, v_l, theta, v, 0.0)
-            jac = f_jacobian(model, v_l, theta, v, 0.0)
-            step = (f1 + f2) / (jac[0, 0] + jac[1, 0])
-            theta -= step
-            if abs(step) <= 1e-12 * theta:
-                seed[0] = theta
-                z = 0.5 * (model.pressure(v_l, theta) - model.pressure(v, theta)) / (v - v_l)
-                return theta, z
-        raise NoConvergence(f"theta on the branch at v={v} did not converge")
-
-    def dz_dv(v):
-        theta, z = on_branch(v)
-        jac = f_jacobian(model, v_l, theta, v, z)
-        det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
-        return -det / ((v - v_l) * (jac[0, 0] + jac[1, 0])) * cp.v_c ** 2 / cp.p_c
-
-    try:
-        if not dz_dv(v) > 0.0:
-            return None
-        lo, gap = v, v - v_l
-        for k in range(12):
-            hi = v_l + gap * (1.0 + 0.125 * 2.0 ** k)
-            if dz_dv(hi) <= 0.0:
-                v_f = find_root_bracketed(dz_dv, lo, hi, RootConfig(x_tol=1e-13 * cp.v_c))
-                return on_branch(v_f)[1]
-            lo = hi
-    except (DryoutError, ArithmeticError):
-        pass
-    return None
+    return build(theta_star, v_g, z_target)
 
 
 def sign_changes_modified(model, theta, j, n_grid):
@@ -273,43 +261,22 @@ def sign_changes_modified(model, theta, j, n_grid):
     return count
 
 
-def max_flux_scan(model, v_l, j_lo, j_hi, n, refine_rtol=1e-3):
+def max_flux_scan(model, v_l, j_lo, j_hi, n):
     """Largest mass flux at which the interface solve still converges.
 
-    Scans a linear flux grid, then bisects between the last success and
-    the first failure down to ``refine_rtol`` relative width.  Returns
-    ``j_hi`` unrefined when every grid point converges.
+    Scans a linear flux grid and returns the located fold flux j_f of the
+    first refused grid point, or ``j_hi`` when every grid point converges.
     """
     if not (0.0 <= j_lo < j_hi):
         raise InvalidInput("need 0 <= j_lo < j_hi")
     if n < 2:
         raise InvalidInput("n must be at least 2")
-
-    def converges(j):
+    grid = np.linspace(j_lo, j_hi, n)
+    for i, j in enumerate(grid):
         try:
             solve_interface(model, v_l, float(j))
-            return True
-        except ContinuationFailed:
-            return False
-
-    grid = np.linspace(j_lo, j_hi, n)
-    if not converges(grid[0]):
-        raise AllFailed(f"solve_interface failed even at j={grid[0]}")
-    last_ok = float(grid[0])
-    first_bad = None
-    for j in grid[1:]:
-        if converges(j):
-            last_ok = float(j)
-        else:
-            first_bad = float(j)
-            break
-    if first_bad is None:
-        return float(grid[-1])
-    lo, hi = last_ok, first_bad
-    while hi - lo > refine_rtol * hi:
-        mid = 0.5 * (lo + hi)
-        if converges(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+        except ContinuationFailed as exc:
+            if i == 0:
+                raise AllFailed(f"solve_interface failed even at j={grid[0]}") from None
+            return exc.j_fold
+    return float(grid[-1])

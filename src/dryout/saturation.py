@@ -323,7 +323,7 @@ def f_system(model, v_l, theta, v, Z):
     between the two volumes, f2 the gas pressure; f1 - f2 reproduces the
     momentum balance p_l - p_g - 2 Z (v - v_l) identically.  At Z = 0 both
     vanish on the bitangent through v_l, which :func:`boiling_temperature`
-    solves and the flux continuation in :mod:`dryout.interface` starts from.
+    solves and the branch solve in :mod:`dryout.interface` starts from.
     """
     if Z < 0.0:
         raise InvalidInput("Z must be non-negative")

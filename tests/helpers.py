@@ -8,8 +8,13 @@ of the merged-root system (f1 = f2 = det J = 0) and of the curvature
 pinch system (g = g' = 0) for the reduced van der Waals model.
 """
 
+import importlib
+import pathlib
+import sys
 
 from dryout import EosModel
+
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def reduced():
@@ -96,3 +101,10 @@ def log_volume_grid(model, n, v_max=50.0):
     import numpy as np
 
     return np.geomspace(model.b * (1.0 + 1e-6), v_max, n)
+
+
+def perfbench_module(name):
+    """A module of the benchmark, ``perfbench/<name>.py`` (its 40-digit oracle, its tracer)."""
+    if str(PERFBENCH) not in sys.path:
+        sys.path.insert(0, str(PERFBENCH))
+    return importlib.import_module(name)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dryout import FreeBoundaryProblem, interface, solve_free_boundary
+from dryout import FreeBoundaryProblem, interface, solve_free_boundary, solve_interface
 from dryout.cli import (
     RunOptions,
     Series,
@@ -17,7 +17,7 @@ from dryout.cli import (
     parse_config,
     run,
 )
-from dryout.errors import InvalidInput, ParseError, ValidationError
+from dryout.errors import ContinuationFailed, InvalidInput, ParseError, ValidationError
 
 DIRECT_CFG = """\
 # unit-coefficient suite
@@ -185,13 +185,27 @@ class TestCliCommands:
         assert "exceeds the located fold j_f=0.2977472741" in err
         assert "Traceback" not in err
 
-    def test_unbracketed_fold_is_still_a_refusal(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(interface, "_locate_fold", lambda *args: None)
+    def test_walk_that_brackets_nothing_is_a_numerical_failure(self, tmp_path, capsys,
+                                                                monkeypatch):
+        monkeypatch.setattr(interface, "_STRETCH", (1.001, 1.002))
         text = EOS_CFG.replace("j_flux = 0.1", "j_flux = 0.5")
         code = main(["interface", write(tmp_path, "fast.cfg", text)])
         err = capsys.readouterr().err
-        assert code == 1
-        assert "continuation stalled" in err
+        assert code == 3
+        assert "numerical failure: the branch brackets neither" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("factor", [1.0 - 2e-10, 1.0, 1.0 + 2e-10])
+    def test_flux_at_the_fold_is_solved_or_refused(self, tmp_path, capsys, factor):
+        model = parse_config(EOS_CFG).model()
+        with pytest.raises(ContinuationFailed) as info:
+            solve_interface(model, 1.0 / 1.6572700954979298, 0.5)
+        text = EOS_CFG.replace("j_flux = 0.1", f"j_flux = {info.value.j_fold * factor!r}")
+        code = main(["interface", write(tmp_path, "fold.cfg", text)])
+        err = capsys.readouterr().err
+        assert code in (0, 1)
+        if code == 1:
+            assert "the located fold j_f=0.2977472741" in err
         assert "Traceback" not in err
 
     def test_near_critical_liquid_density_exit_code(self, tmp_path, capsys):

@@ -23,10 +23,19 @@ from dryout.errors import (
     ContinuationFailed,
     DegenerateGap,
     InvalidInput,
+    NoConvergence,
 )
 from dryout.numerics import fd_gradient, newton2d
 
-from helpers import FOLD_FLUX_09, V_L_09, reduced, rel_err, strictly_increasing
+from helpers import (
+    FOLD_FLUX_09,
+    SAT_REFS,
+    V_L_09,
+    perfbench_module,
+    reduced,
+    rel_err,
+    strictly_increasing,
+)
 
 
 class TestJumpResiduals:
@@ -161,7 +170,6 @@ class TestSolveInterface:
         assert sol.theta_star == theta_b
         assert sol.v_g == sat.v_g_star
         assert sol.p_l == pytest.approx(sol.p_g, abs=1e-9)
-        assert sol.steps == 0
 
     def test_small_flux_raises_interface_temperature(self):
         m = reduced()
@@ -218,7 +226,6 @@ class TestSolveInterface:
             solve_interface(m, V_L_09, 0.5)
         exc = info.value
         assert 0.0 < exc.z_reached < 0.5 * 0.5 ** 2
-        assert exc.sign_changes is not None
 
     def test_just_above_fold_fails(self):
         with pytest.raises(ContinuationFailed):
@@ -229,10 +236,9 @@ class TestSolveInterface:
             solve_interface(reduced(), V_L_09, 1.3 * FOLD_FLUX_09)
         exc = info.value
         assert rel_err(exc.j_fold, FOLD_FLUX_09) < 1e-10
-        # z_reached stays the last certified step, below the fold
-        assert 0.0 < exc.z_reached < 0.5 * exc.j_fold ** 2
+        # the refusal carries the fold state itself
+        assert 0.0 < exc.z_reached < 0.5 * exc.j_fold ** 2 * (1.0 + 1e-9)
         assert exc.theta is not None and exc.v is not None
-        assert exc.sign_changes is not None
 
     def test_refusal_past_the_fold_takes_few_newton_solves(self, monkeypatch):
         calls = []
@@ -247,35 +253,48 @@ class TestSolveInterface:
         # halving into the fold took about 95
         assert len(calls) <= 20
 
-    def test_converging_solve_never_locates_the_fold(self, monkeypatch):
-        calls = []
+    @pytest.mark.parametrize("factor", [1.0 - 2e-10, None, 1.0 + 2e-10])
+    def test_flux_at_the_fold_converges_or_is_refused(self, factor):
+        m = reduced()
+        with pytest.raises(ContinuationFailed) as info:
+            solve_interface(m, V_L_09, 1.3 * FOLD_FLUX_09)
+        # None: exactly the located fold flux
+        j = info.value.j_fold if factor is None else FOLD_FLUX_09 * factor
+        try:
+            sol = solve_interface(m, V_L_09, j)
+        except ContinuationFailed as exc:
+            assert rel_err(exc.j_fold, FOLD_FLUX_09) < 1e-10
+            assert exc.z_reached < 0.5 * exc.j_fold ** 2 * (1.0 + 1e-9)
+        else:
+            f1, f2 = f_system(m, V_L_09, sol.theta_star, sol.v_g, 0.5 * j * j)
+            assert max(abs(f1), abs(f2)) <= 1e-10  # p_c = 1
+            assert sol.theta_star > sol.theta_b
 
-        def recording(*args):
-            calls.append(args)
-            return locate(*args)
-
-        locate = interface._locate_fold
-        monkeypatch.setattr(interface, "_locate_fold", recording)
-        sol = solve_interface(reduced(), V_L_09, 0.9 * FOLD_FLUX_09)
-        assert sol.Z == pytest.approx(0.5 * (0.9 * FOLD_FLUX_09) ** 2, rel=1e-15)
-        assert calls == []
-
-    def test_unbracketed_fold_falls_back_to_halving(self, monkeypatch):
-        monkeypatch.setattr(interface, "_locate_fold", lambda *args: None)
-        with pytest.raises(ContinuationFailed, match="continuation stalled") as info:
+    def test_walk_that_brackets_nothing_is_a_numerical_failure(self, monkeypatch):
+        # two short stretches reach neither the target nor the fold
+        monkeypatch.setattr(interface, "_STRETCH", (1.001, 1.002))
+        with pytest.raises(NoConvergence, match="brackets neither"):
             solve_interface(reduced(), V_L_09, 1.3 * FOLD_FLUX_09)
-        exc = info.value
-        assert exc.j_fold is None
-        # the halving may certify a step past the fold by what the Newton
-        # residual tolerance admits
-        assert 0.0 < exc.z_reached < 0.5 * FOLD_FLUX_09 ** 2 * (1.0 + 1e-9)
 
-    def test_flux_within_the_margin_above_the_fold_is_left_to_halving(self):
-        # 0.5 j^2 lies above Z_f by less than the 1e-9 margin: the halving
-        # stalls, and its verdict still carries the located fold
-        with pytest.raises(ContinuationFailed, match="continuation stalled") as info:
-            solve_interface(reduced(), V_L_09, FOLD_FLUX_09 * (1.0 + 2e-10))
-        assert rel_err(info.value.j_fold, FOLD_FLUX_09) < 1e-10
+    @pytest.mark.parametrize("theta", [0.6, 0.75, 0.9, 0.95])
+    def test_refusal_carries_the_fold_of_the_oracle(self, theta):
+        oracle = perfbench_module("oracle")
+        v_l = SAT_REFS[theta][0]
+        theta_f, v_f, j_f = oracle.fold(v_l)
+        with pytest.raises(ContinuationFailed) as info:
+            solve_interface(reduced(), v_l, 1.3 * float(j_f))
+        exc = info.value
+        assert rel_err(exc.z_reached, float(j_f ** 2 / 2)) < 1e-12
+        assert rel_err(exc.theta, float(theta_f)) < 1e-12
+        assert rel_err(exc.v, float(v_f)) < 1e-12
+        assert rel_err(exc.j_fold, float(j_f)) < 1e-12
+
+    def test_target_within_the_round_off_at_the_seed_is_the_seed(self):
+        m = reduced()
+        seed = solve_interface(m, V_L_09, 0.0)
+        for j in (1e-9, 1e-150, 1e-160):
+            sol = solve_interface(m, V_L_09, j)
+            assert (sol.theta_star, sol.v_g) == (seed.theta_star, seed.v_g)
 
     @pytest.mark.parametrize("j", [1e200, math.inf, math.nan])
     def test_flux_with_non_finite_kinetic_parameter(self, j):
