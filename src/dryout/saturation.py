@@ -1,23 +1,20 @@
-"""Two-phase coexistence: bitangent construction and the saturation curve.
+"""Two-phase coexistence: the closed-form coexistence curve and its inversion.
 
-The coexistence pressure is located robustly by a scalar root solve
-between the spinodal pressures (equal specific Gibbs energy on the two
-monotone pressure branches) and then polished by a damped 2-D Newton
-iteration on the exact bitangent conditions.  The sampled-envelope
-construction in :mod:`dryout.numerics` stays independent of this path
-and serves as its oracle.
+Every model with a critical point is a scaled van der Waals fluid, and the
+coexistence curve of that family has an exact one-parameter form
+(J. Lekner, Am. J. Phys. 50, 161 (1982); D. C. Johnston, arXiv:1402.1205).
+In critical units, with f(y) = (y cosh y - sinh y) / (sinh y cosh y - y),
+A = 1/f and g = 1 + 2 A cosh y + A^2, the parameter y > 0 gives
 
-The inverse problem, the boiling temperature of a given liquid volume,
-is the same bitangent system with the liquid volume held fixed and the
-temperature and gas volume unknown: ``f_system`` at zero flux.  A few
-Maxwell constructions bracket the answer and seed it: the supported
-ceiling, a halving descent, then two regula-falsi steps in
-(v_c - v_l*)^2.  One damped Newton solve in (theta, v_g) then gives the
-temperature.  The result is accepted only when the residual is below
-1e-13 p_c, the gas volume exceeds v_c and the temperature stays in the
-bracket.  Otherwise, and above ``NEWTON_CEILING_FRACTION`` of the
-critical temperature, a bracketed scalar solve on v_l*(theta) - v_l, one
-Maxwell construction per step, stands in.
+    3 v_l / v_c - 1 = A e^(-y),    3 v_g / v_c - 1 = A e^y,
+    theta / theta_c = 27 A^2 (1 + A cosh y) / (4 g^2),
+
+which runs from the critical point at y = 0 down to zero temperature as y
+grows.  :func:`maxwell_construction` solves theta(y) = theta and
+:func:`boiling_temperature` solves v_l(y) = v_l, each by one bracketed
+scalar root solve in y.  The returned float point is certified against the
+bitangent conditions themselves (equal pressures, energy balance), not
+against the parametrisation.
 """
 
 from __future__ import annotations
@@ -31,26 +28,27 @@ from .errors import (
     AboveCritical,
     DegenerateGap,
     InvalidInput,
-    NoBracket,
     NoConvergence,
     NoCriticalPoint,
     NoPhaseTransition,
     OutOfRange,
-    SingularJacobian,
 )
+# newton2d: unused here; the benchmark tracer patches this name
 from .numerics import RootConfig, find_root_bracketed, newton2d
 
-#: Fraction of the critical temperature above which the bitangent solve is
-#: refused: the two volume roots merge there and the Jacobian degenerates.
+#: Fraction of the critical temperature above which the construction is
+#: refused: the two volumes merge there and the bitangent degenerates.
 NEAR_CRITICAL_FRACTION = 0.999
 
-#: Fraction of the critical temperature above which the boiling temperature
-#: comes from the bracketed solve over Maxwell constructions rather than the
-#: bitangent Newton solve.  Above it v_l*(theta) is so steep that the float
-#: floor of the secant-slope residual leaves the Newton root farther from
-#: the exact temperature than the bracketed solve; below it the Newton root
-#: is as close or closer.
-NEWTON_CEILING_FRACTION = 0.995
+#: Below this y the two halves of f, (y cosh y - sinh y) / y^3 and
+#: (sinh y cosh y - y) / y^3, are positive-term series in y^2; above it the
+#: closed form has no cancellation.  Worst relative error of 3 v_l / v_c - 1
+#: against 50-digit values: closed form 1.4e-15, series 3.7e-16 on
+#: [0.6, 0.8]; 5.0e-16 and 3.2e-16 on [1.0, 1.1].
+_SERIES_BELOW = 1.0
+#: (2k / (2k+1)!, 4^k / (2k+1)!), k = 1..12: below y = 1 the next term is < 1e-20.
+_SERIES = tuple((2 * k / math.factorial(2 * k + 1), 4 ** k / math.factorial(2 * k + 1))
+                for k in range(1, 13))
 
 
 @dataclass(frozen=True)
@@ -80,28 +78,114 @@ def _critical_or_no_transition(model):
         ) from None
 
 
-def _spinodal_volumes(model, cp, theta):
-    """Local extrema of the pressure in v: (liquid edge, gas edge)."""
-    dp = lambda v: model.pressure_dv(v, theta)
-    cfg = RootConfig(abs_tol=1e-10 * cp.p_c / cp.v_c, x_tol=1e-13 * cp.v_c, max_iter=200)
-    v_edge = model.v_min * (1.0 + 1e-9)
-    v_lo = find_root_bracketed(dp, v_edge, cp.v_c, cfg)
-    hi = 2.0 * cp.v_c
-    for _ in range(200):
-        if dp(hi) < 0.0:
+def _coexistence(y):
+    """(x_l, u) at the parameter y >= 0: x_l = 3 v_l / v_c - 1 = A e^(-y) and u = e^(-2y).
+
+    The gas side is x_g = 3 v_g / v_c - 1 = x_l / u.
+    """
+    u = math.exp(-2.0 * y)
+    if y < _SERIES_BELOW:
+        z = y * y
+        n = d = 0.0
+        for c_n, c_d in reversed(_SERIES):
+            n = n * z + c_n
+            d = d * z + c_d
+        return d / n * math.exp(-y), u
+    # A e^(-y) with numerator and denominator scaled by e^(-y) and e^(-2y)
+    return (1.0 - u * (u + 4.0 * y)) / (2.0 * ((y - 1.0) + u * (y + 1.0))), u
+
+
+def _reduced_temperature(x_l, u):
+    """theta / theta_c at which x_l and x_g = x_l / u have equal pressures.
+
+    Lekner's 27 A^2 (1 + A cosh y) / (4 g^2), with A^2 = x_l x_g,
+    2 A cosh y = x_l + x_g and g = (1 + x_l)(1 + x_g), is
+    27 x_l^2 (x_l + (2 + x_l) u) / (8 (1 + x_l)^2 (x_l + u)^2).  It is
+    evaluated exactly in integers over the common power-of-two denominator
+    s and rounded once: float arithmetic, off by up to 4 ulp, put the
+    latent heat at 0.985 theta_c 6.0e-15 from the 40-digit value (1.2e-15).
+    """
+    (x, a), (w, b) = x_l.as_integer_ratio(), u.as_integer_ratio()
+    s = max(a, b)
+    x, w = x * (s // a), w * (s // b)
+    return 27 * x * x * (x * s + (2 * s + x) * w) / (8 * (s + x) ** 2 * (x + w) ** 2)
+
+
+def descend_to_bracket(residual):
+    """Bracket (lo, hi) in y of the root of ``residual``, positive at y = 0 and falling.
+
+    Doubling y from 1 descends the coexistence curve in temperature.  Past
+    y = 512 the saturated gas volume, v_c (1 + A e^y) / 3 with
+    A e^y > e^(2y) / (2y), lies beyond double precision, so a root there
+    raises :class:`NoConvergence`.
+    """
+    lo, hi = 0.0, 1.0
+    while residual(hi) > 0.0:
+        if hi >= 512.0:
+            raise NoConvergence("the saturated gas volume lies beyond double precision")
+        lo, hi = hi, 2.0 * hi
+    return lo, hi
+
+
+def _solve_parameter(residual):
+    """The y at which ``residual`` (positive at y = 0, falling) vanishes, to a few ulp."""
+    lo, hi = descend_to_bracket(residual)
+    return find_root_bracketed(residual, lo, hi,
+                               RootConfig(abs_tol=1e-300, x_tol=2.0 ** -52 * hi, max_iter=200))
+
+
+def _bitangent_residual(model, cp, theta, v_l, v_g):
+    """Pressure gap over p_c and energy balance over the psi scale, the larger one."""
+    p_l = model.pressure(v_l, theta)
+    p_g = model.pressure(v_g, theta)
+    psi_l = model.psi(v_l, theta)
+    balance = model.psi(v_g, theta) - psi_l + (v_g - v_l) * 0.5 * (p_l + p_g)
+    return max(abs(p_l - p_g) / cp.p_c, abs(balance) / max(abs(psi_l), cp.p_c * cp.v_c))
+
+
+def _floor_polish(model, cp, theta, v_l, v_g):
+    """Plain Newton on the certified residual pair, keeping the best point seen.
+
+    Near the float floor the residuals jiggle instead of contracting, so
+    the loop tracks the metric rather than demanding monotone decrease.
+    """
+    best, best_metric = (v_l, v_g), _bitangent_residual(model, cp, theta, v_l, v_g)
+    for _ in range(8):
+        p_l, p_g = model.pressure(v_l, theta), model.pressure(v_g, theta)
+        dp_l, dp_g = model.pressure_dv(v_l, theta), model.pressure_dv(v_g, theta)
+        balance = model.psi(v_g, theta) - model.psi(v_l, theta) + (v_g - v_l) * 0.5 * (p_l + p_g)
+        # Jacobian rows (dp_l, -dp_g) and (j21, j22) in (v_l, v_g)
+        half_dp, gap = 0.5 * (p_l - p_g), v_g - v_l
+        j21, j22 = half_dp + 0.5 * gap * dp_l, half_dp + 0.5 * gap * dp_g
+        det = dp_l * j22 + dp_g * j21
+        if det == 0.0:
             break
-        hi *= 2.0
-    else:
-        raise NoConvergence("could not bracket the gas-side spinodal")
-    v_hi = find_root_bracketed(dp, cp.v_c, hi, cfg)
-    return v_lo, v_hi
+        v_l, v_g = (v_l + (-(p_l - p_g) * j22 - balance * dp_g) / det,
+                    v_g + ((p_l - p_g) * j21 - balance * dp_l) / det)
+        if not (model.v_min < v_l < v_g):
+            break
+        metric = _bitangent_residual(model, cp, theta, v_l, v_g)
+        if metric < best_metric:
+            best, best_metric = (v_l, v_g), metric
+    return best
 
 
 def maxwell_construction(model, theta):
     """Bitangent endpoints, saturated pressure and latent heat at ``theta``.
 
-    The returned point satisfies equal pressures and equal tangent
-    intercepts at both volumes (certified to 1e-9 of the critical scales).
+    One bracketed root solve of theta(y) = theta on Lekner's curve (see
+    the module docstring) gives both volumes.  The returned float point is
+    certified: pressures equal to 1e-9 p_c, energy balance
+    psi_g - psi_l + (v_g - v_l) (p_l + p_g) / 2 zero to 1e-9 of
+    max(|psi_l|, p_c v_c), and v_l < v_c < v_g.  Only a point that fails the
+    certificate, which happens only near the double-precision floor below
+    about 0.21 theta_c, is polished by a few Newton steps on those
+    residuals.  ``p_star`` is the gas-side pressure p(v_g*, theta), which
+    the rounding of the liquid volume leaves intact.
+
+    Raises :class:`AboveCritical` above ``NEAR_CRITICAL_FRACTION`` of the
+    critical temperature and :class:`NoConvergence` where no certified
+    point exists in double precision, the gas volume overflowing included.
     """
     cp = _critical_or_no_transition(model)
     if theta > NEAR_CRITICAL_FRACTION * cp.theta_c:
@@ -109,158 +193,25 @@ def maxwell_construction(model, theta):
             f"theta={theta} above {NEAR_CRITICAL_FRACTION} * theta_c={cp.theta_c}")
     model.check_state(cp.v_c, theta)
 
-    v_sp_l, v_sp_g = _spinodal_volumes(model, cp, theta)
-    p_floor = max(model.pressure(v_sp_l, theta), 0.0)
-    p_ceil = model.pressure(v_sp_g, theta)
-    if not p_ceil > p_floor:
-        raise NoConvergence(f"degenerate spinodal pressure window at theta={theta}")
-    span = p_ceil - p_floor
-    margin = 1e-8 * span
-
-    branch_cfg = RootConfig(abs_tol=1e-11 * cp.p_c, x_tol=1e-14 * cp.v_c, max_iter=200)
-    v_edge = model.v_min * (1.0 + 1e-9)
-
-    def liquid_volume(p):
-        return find_root_bracketed(
-            lambda v: model.pressure(v, theta) - p, v_edge, v_sp_l, branch_cfg)
-
-    def gas_volume(p):
-        hi = 2.0 * v_sp_g
-        for _ in range(400):
-            if model.pressure(hi, theta) < p:
-                break
-            hi *= 2.0
-        else:
-            raise NoConvergence("could not bracket the gas branch volume")
-        return find_root_bracketed(
-            lambda v: model.pressure(v, theta) - p, v_sp_g, hi, branch_cfg)
-
-    def gibbs_gap(p):
-        v_l = liquid_volume(p)
-        v_g = gas_volume(p)
-        return (model.psi(v_g, theta) + p * v_g) - (model.psi(v_l, theta) + p * v_l)
-
-    # The coexistence pressure can sit many decades below the spinodal
-    # ceiling at low temperature; descend the lower bracket edge
-    # geometrically until the gas branch becomes the cheaper phase.
-    hi_p = p_ceil - margin
-    hi_margin = margin
-    for _ in range(60):
-        if gibbs_gap(hi_p) > 0.0:
-            break
-        hi_margin *= 0.1
-        hi_p = p_ceil - hi_margin
-    else:
-        raise NoConvergence("gas branch never dearer near the spinodal ceiling")
-    lo_p = p_floor + margin
-    lo_margin = margin
-    for _ in range(300):
-        if lo_p <= 5e-300:
-            raise NoConvergence("coexistence pressure below double-precision range")
-        if gibbs_gap(lo_p) < 0.0:
-            break
-        if p_floor > 0.0:
-            lo_margin *= 0.1
-            lo_p = p_floor + lo_margin
-        else:
-            lo_p *= 0.1
-    else:
-        raise NoConvergence("failed to bracket the coexistence pressure")
+    t = theta / cp.theta_c
+    y = _solve_parameter(lambda y: _reduced_temperature(*_coexistence(y)) - t)
+    x_l = _coexistence(y)[0]
     try:
-        # the coexistence pressure spans decades over the temperature range,
-        # so the scalar stage solves in log-pressure coordinates
-        log_seed = find_root_bracketed(
-            lambda u: gibbs_gap(math.exp(u)), math.log(lo_p), math.log(hi_p),
-            RootConfig(abs_tol=1e-10 * max(cp.p_c * cp.v_c, 1.0), x_tol=1e-14, max_iter=200))
-    except NoBracket as exc:
-        raise NoConvergence(f"failed to bracket the coexistence pressure: {exc}") from None
-    p_seed = math.exp(log_seed)
+        v_g = model.b * (1.0 + x_l * math.exp(2.0 * y))
+    except OverflowError:
+        v_g = math.inf
+    if not math.isfinite(v_g):
+        raise NoConvergence(f"saturated gas volume beyond double precision at theta={theta}")
+    v_l = model.b * (1.0 + x_l)
 
-    v_l0 = liquid_volume(p_seed)
-    v_g0 = gas_volume(p_seed)
-
-    # Newton polish of the bitangent conditions: equal pressure and equal
-    # tangent intercept T(v) = -v*p - psi (the best-conditioned float form,
-    # since neither side multiplies the liquid pressure noise by v_g).
-    scale_p = cp.p_c
-    scale_t = cp.p_c * cp.v_c
-
-    def intercept(v):
-        return -v * model.pressure(v, theta) - model.psi(v, theta)
-
-    def resid(x):
-        v_l, v_g = x
-        return np.array([
-            (model.pressure(v_l, theta) - model.pressure(v_g, theta)) / scale_p,
-            (intercept(v_l) - intercept(v_g)) / scale_t,
-        ])
-
-    def jac(x):
-        v_l, v_g = x
-        dp_l = model.pressure_dv(v_l, theta)
-        dp_g = model.pressure_dv(v_g, theta)
-        return np.array([
-            [dp_l / scale_p, -dp_g / scale_p],
-            [-v_l * dp_l / scale_t, v_g * dp_g / scale_t],
-        ])
-
-    v_l, v_g = newton2d(resid, jac, (v_l0, v_g0),
-                        RootConfig(abs_tol=1e-12, x_tol=1e-15, max_iter=60))
-
-    psi_scale = max(abs(model.psi(v_l, theta)), cp.p_c * cp.v_c)
-
-    def certification_metric(v_l, v_g):
-        p_l = model.pressure(v_l, theta)
-        p_g = model.pressure(v_g, theta)
-        balance = (model.psi(v_g, theta) - model.psi(v_l, theta)
-                   + (v_g - v_l) * 0.5 * (p_l + p_g))
-        return max(abs(p_l - p_g) / cp.p_c, abs(balance) / psi_scale)
-
-    # Floor polish: plain Newton on the certified residual pair, keeping the
-    # best point seen.  Near the float floor the residuals jiggle instead of
-    # contracting, so the loop tracks the metric rather than demanding
-    # monotone decrease.
-    best = (v_l, v_g)
-    best_metric = certification_metric(v_l, v_g)
-    x = np.array([v_l, v_g])
-    for _ in range(8):
-        p_l = model.pressure(x[0], theta)
-        p_g = model.pressure(x[1], theta)
-        dp_l = model.pressure_dv(x[0], theta)
-        dp_g = model.pressure_dv(x[1], theta)
-        balance = (model.psi(x[1], theta) - model.psi(x[0], theta)
-                   + (x[1] - x[0]) * 0.5 * (p_l + p_g))
-        half_dp = 0.5 * (p_l - p_g)
-        gap = x[1] - x[0]
-        jac_cert = np.array([
-            [dp_l, -dp_g],
-            [half_dp + 0.5 * gap * dp_l, half_dp + 0.5 * gap * dp_g],
-        ])
-        det = jac_cert[0, 0] * jac_cert[1, 1] - jac_cert[0, 1] * jac_cert[1, 0]
-        if det == 0.0:
-            break
-        rhs = np.array([p_l - p_g, balance])
-        step = np.array([
-            (-rhs[0] * jac_cert[1, 1] + rhs[1] * jac_cert[0, 1]) / det,
-            (rhs[0] * jac_cert[1, 0] - rhs[1] * jac_cert[0, 0]) / det,
-        ])
-        x = x + step
-        if not (model.v_min < x[0] < x[1]):
-            break
-        metric = certification_metric(x[0], x[1])
-        if metric < best_metric:
-            best = (float(x[0]), float(x[1]))
-            best_metric = metric
-    v_l, v_g = best
-
-    p_l = model.pressure(v_l, theta)
-    p_g = model.pressure(v_g, theta)
-    p_star = 0.5 * (p_l + p_g)
-    if abs(p_l - p_g) > 1e-9 * cp.p_c:
-        raise NoConvergence(f"bitangent pressures differ by {abs(p_l - p_g)}")
-    gt = model.psi(v_g, theta) - model.psi(v_l, theta) + (v_g - v_l) * p_star
-    if abs(gt) > 1e-9 * psi_scale:
-        raise NoConvergence(f"interfacial energy-balance residual {gt} above tolerance")
+    if not _bitangent_residual(model, cp, theta, v_l, v_g) <= 1e-9:
+        try:
+            v_l, v_g = _floor_polish(model, cp, theta, v_l, v_g)
+        except OverflowError:  # dp/dv at a gas volume near the top of the float range
+            pass
+        residual = _bitangent_residual(model, cp, theta, v_l, v_g)
+        if not residual <= 1e-9:
+            raise NoConvergence(f"bitangent residual {residual} above 1e-9 at theta={theta}")
     if not model.v_min < v_l < cp.v_c < v_g:
         raise NoConvergence(
             f"bitangent endpoints {v_l}, {v_g} fail to straddle the critical volume")
@@ -268,45 +219,8 @@ def maxwell_construction(model, theta):
     eta_l = model.eta(v_l, theta)
     eta_g = model.eta(v_g, theta)
     return SaturationPoint(
-        theta=theta,
-        v_l_star=float(v_l),
-        v_g_star=float(v_g),
-        p_star=float(p_star),
-        eta_l_star=float(eta_l),
-        eta_g_star=float(eta_g),
-        ell=float(-theta * (eta_g - eta_l)),
-    )
-
-
-def descend_to_bracket(model, cp, sat_top, v_l):
-    """Saturation points (lo, hi) with v_l* below ``v_l`` at lo and not below it at hi.
-
-    Walks down in temperature from ``sat_top`` by halving, retreating upward
-    whenever the bitangent construction becomes uncertifiable at double
-    precision (very low temperature, where the gas volume grows by many
-    decades).
-    """
-    sat_hi = sat_top
-    lo = 0.5 * sat_top.theta
-    floor = 0.0
-    for _ in range(200):
-        try:
-            sat = maxwell_construction(model, lo)
-        except NoConvergence:
-            floor = lo
-            lo = 0.5 * (lo + sat_hi.theta)
-            if sat_hi.theta - lo < 1e-9 * cp.theta_c:
-                break
-            continue
-        if sat.v_l_star < v_l:
-            return sat, sat_hi
-        sat_hi = sat
-        lo = 0.5 * (lo + floor) if floor > 0.0 else 0.5 * lo
-        if sat_hi.theta - lo < 1e-12 * cp.theta_c:
-            break
-    raise NoConvergence(
-        "temperature descent pinched off; the target lies below the "
-        "saturation range computable at double precision")
+        theta=theta, v_l_star=v_l, v_g_star=v_g, p_star=model.pressure(v_g, theta),
+        eta_l_star=eta_l, eta_g_star=eta_g, ell=-theta * (eta_g - eta_l))
 
 
 def _gap_floor(model, v_l):
@@ -356,69 +270,27 @@ def f_jacobian(model, v_l, theta, v, Z):
 def boiling_temperature(model, v_l):
     """Temperature at which ``v_l`` is the saturated liquid volume.
 
-    The saturated liquid volume v_l*(theta) rises strictly with
-    temperature.  A Maxwell construction at the supported ceiling refuses
-    volumes above its range, and :func:`descend_to_bracket` walks down from
-    it to the two saturation points that bracket the answer.  Two
-    regula-falsi steps on v_l*(theta), each one Maxwell construction, then
-    narrow the bracket; they interpolate theta linearly
-    in (v_c - v_l*)^2, which the square-root law near the critical point
-    makes nearly linear in theta.
-
-    From the last of those points, (theta, v_g*), a single damped Newton
-    solve of the bitangent conditions with ``v_l`` held fixed (equal
-    pressure, equal secant slope: :func:`f_system` at Z = 0) gives the
-    answer directly.  It is accepted when the residual scaled by p_c is
-    below 1e-13, the gas volume lies above v_c and theta stays inside the
-    bracket.  Otherwise, and when that point lies above
-    ``NEWTON_CEILING_FRACTION`` of the critical temperature, the bracket is
-    solved by safeguarded secant steps on v_l*(theta) - v_l, each a full
-    Maxwell construction, until that gap is below 1e-13 v_c or the bracket
-    is narrower than 1e-13 theta_c.
+    One bracketed root solve of v_l(y) = v_l on Lekner's parametric
+    coexistence curve (see the module docstring), whose liquid volume
+    falls strictly from v_c as y grows, gives theta_b = theta(y).  A
+    temperature above ``NEAR_CRITICAL_FRACTION`` of the critical one raises
+    :class:`AboveCritical`.  One Maxwell construction at theta_b then
+    certifies the answer; below the double-precision floor it raises
+    :class:`NoConvergence`.
     """
     cp = _critical_or_no_transition(model)
     if not (model.v_min * (1.0 + 1e-9) <= v_l < cp.v_c):
         raise OutOfRange(f"v_l={v_l} outside ({model.v_min}, {cp.v_c})")
-    theta_hi = NEAR_CRITICAL_FRACTION * cp.theta_c
-    sat_hi = maxwell_construction(model, theta_hi)
-    if sat_hi.v_l_star < v_l:
+    # 3 v_l / v_c - 1; rounding can lift it to 2, the critical point y = 0, not past it
+    x_l = min((v_l - model.b) / model.b, 2.0)
+    y = _solve_parameter(lambda y: _coexistence(y)[0] - x_l)
+    theta = cp.theta_c * _reduced_temperature(x_l, _coexistence(y)[1])
+    if theta > NEAR_CRITICAL_FRACTION * cp.theta_c:
         raise AboveCritical(
-            f"v_l={v_l} exceeds the saturated liquid volume {sat_hi.v_l_star} "
-            f"at the supported ceiling theta={theta_hi}")
-    if sat_hi.v_l_star == v_l:
-        return theta_hi
-
-    sat_lo, sat_hi = descend_to_bracket(model, cp, sat_hi, v_l)
-    theta_lo, theta_hi = sat_lo.theta, sat_hi.theta
-
-    # (v_c - v_l*)^2 falls strictly and nearly linearly in theta
-    target = (cp.v_c - v_l) ** 2
-    for _ in range(2):
-        g_lo = (cp.v_c - sat_lo.v_l_star) ** 2
-        g_hi = (cp.v_c - sat_hi.v_l_star) ** 2
-        theta = theta_lo + (target - g_lo) * (theta_hi - theta_lo) / (g_hi - g_lo)
-        sat = maxwell_construction(model, theta)
-        if sat.v_l_star < v_l:
-            theta_lo, sat_lo = theta, sat
-        else:
-            theta_hi, sat_hi = theta, sat
-
-    if sat.theta <= NEWTON_CEILING_FRACTION * cp.theta_c:
-        scale = cp.p_c
-        resid = lambda x: np.array(f_system(model, v_l, x[0], x[1], 0.0)) / scale
-        jac = lambda x: f_jacobian(model, v_l, x[0], x[1], 0.0) / scale
-        try:
-            theta, v_g = newton2d(resid, jac, (sat.theta, sat.v_g_star),
-                                  RootConfig(abs_tol=1e-13, max_iter=50))
-            # v_l already lies in (v_min, v_c); a root with v_g past v_c is the bitangent
-            if v_g > cp.v_c and theta_lo <= theta <= theta_hi:
-                return float(theta)
-        except (NoConvergence, SingularJacobian):
-            pass
-
-    gap = lambda th: maxwell_construction(model, th).v_l_star - v_l
-    cfg = RootConfig(abs_tol=1e-13 * cp.v_c, x_tol=1e-13 * cp.theta_c, max_iter=200)
-    return find_root_bracketed(gap, theta_lo, theta_hi, cfg)
+            f"v_l={v_l} boils at theta={theta}, above the supported ceiling "
+            f"{NEAR_CRITICAL_FRACTION} * theta_c={cp.theta_c}")
+    maxwell_construction(model, theta)
+    return theta
 
 
 def latent_heat(model, sat):

@@ -389,6 +389,15 @@ class TestExitCodeContract:
         assert code == 2
         assert "underflows" in captured.err
 
+    def test_saturation_below_the_double_precision_floor(self, tmp_path, capsys):
+        # at 1e-3 theta_c the saturated gas volume overflows double precision
+        code = main(["saturation", write(tmp_path, "e.cfg", EOS_CFG), "--from", "0.001",
+                     "--to", "0.5", "--n", "2", "--out", str(tmp_path / "sat.csv")])
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert code == 3
+        assert "numerical failure" in captured.err
+
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     @pytest.mark.parametrize("mode, key", [("direct", k) for k in DIRECT_KEYS]
                              + [("eos", k) for k in EOS_KEYS])
@@ -430,6 +439,23 @@ class TestExitCodeProperty:
                 err = io.StringIO()
                 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                     codes.append(main(["dryout", path]))
+                assert "Traceback" not in err.getvalue()
+        assert codes[0] in (0, 1, 2, 3)
+        assert codes[0] == codes[1]
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.floats(1e-12, 1.2), st.floats(1e-12, 1.2))
+    def test_every_saturation_range_ends_in_a_documented_exit_code(self, lo, hi):
+        # the README eos config has theta_c = 1
+        codes = []
+        with tempfile.TemporaryDirectory() as scratch:
+            path = write(pathlib.Path(scratch), "x.cfg", EOS_CFG)
+            argv = ["saturation", path, "--from", repr(lo), "--to", repr(hi), "--n", "3",
+                    "--out", str(pathlib.Path(scratch) / "sat.csv")]
+            for _ in range(2):
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    codes.append(main(argv))
                 assert "Traceback" not in err.getvalue()
         assert codes[0] in (0, 1, 2, 3)
         assert codes[0] == codes[1]

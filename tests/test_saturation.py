@@ -26,11 +26,19 @@ from dryout.errors import (
 from helpers import (
     SAT_REFS,
     mp_boiling_temperature,
+    perfbench_module,
     reduced,
     rel_err,
     strictly_decreasing,
     strictly_increasing,
 )
+
+
+# the reduced model and an SI-scaled water-like one (p_c ~ 7e7, theta_c ~ 1.1e3)
+INVERSION_MODELS = {
+    "reduced": reduced(),
+    "si": EosModel(k1=4180.0, k2=461.5, a=1700.0, b=9.5e-4),
+}
 
 
 class TestMaxwellConstruction:
@@ -109,12 +117,39 @@ class TestMaxwellConstruction:
                   + (sat.v_g_star - sat.v_l_star) * sat.p_star)
             assert abs(gt) <= 1e-9 * abs(m.psi(sat.v_l_star, theta))
 
-    def test_below_double_precision_floor_fails_deterministically(self):
+    @pytest.mark.parametrize("name", sorted(INVERSION_MODELS))
+    @pytest.mark.parametrize("fraction", [0.1, 1e-2, 1e-3, 1e-6, 1e-12])
+    def test_below_double_precision_floor_fails_deterministically(self, name, fraction):
         # beneath roughly 0.2 theta_c the liquid-pressure cancellation noise,
-        # amplified by the gas volume, exceeds the certified tolerance; the
-        # construction must refuse rather than return an uncertified point
+        # amplified by the gas volume, exceeds the certified tolerance, and
+        # the gas volume, growing like e^(2y) with y ~ 27/16 theta_c/theta,
+        # overflows below about 4.7e-3 theta_c; the construction must refuse
+        # rather than return an uncertified point or let an overflow escape
+        m = INVERSION_MODELS[name]
         with pytest.raises(NoConvergence):
-            maxwell_construction(reduced(), 0.1)
+            maxwell_construction(m, fraction * m.critical_point().theta_c)
+
+    @pytest.mark.parametrize("theta", [0.183, 0.186, 0.191, 0.201, 0.202, 0.203, 0.204, 0.205])
+    def test_floor_polish_certifies_near_the_floor(self, theta):
+        # at several of these temperatures the closed-form point misses the
+        # 1e-9 certificate by round-off alone, and a few Newton steps on the
+        # certified residuals bring it under
+        m = reduced()
+        sat = maxwell_construction(m, theta)
+        p_l = m.pressure(sat.v_l_star, theta)
+        p_g = m.pressure(sat.v_g_star, theta)
+        assert abs(p_l - p_g) <= 1e-9
+        assert m.b < sat.v_l_star < 1.0 < sat.v_g_star
+
+    def test_pressure_against_the_oracle(self):
+        # p* is the gas-side pressure p(v_g*, theta), which the rounding of the
+        # liquid volume leaves intact
+        oracle = perfbench_module("oracle")
+        m = reduced()
+        for theta in np.linspace(0.25, 0.985, 60):
+            sat = maxwell_construction(m, float(theta))
+            p_ref = oracle.saturation(float(theta), seed=(sat.v_l_star, sat.v_g_star))[2]
+            assert abs(float((sat.p_star - p_ref) / p_ref)) <= 1e-14
 
 
 class TestBoilingTemperature:
@@ -146,8 +181,8 @@ class TestBoilingTemperature:
             boiling_temperature(reduced(), 0.97)
 
     def test_dense_liquid_round_trip(self):
-        # theta_b near 0.23: the bracket descent must retreat from the
-        # uncomputable low-temperature zone instead of dying inside it
+        # theta_b near 0.23, a little above the double-precision floor of the
+        # certified construction
         m = reduced()
         theta_b = boiling_temperature(m, 0.36)
         assert abs(maxwell_construction(m, theta_b).v_l_star - 0.36) < 1e-10
@@ -157,13 +192,8 @@ class TestBoilingTemperature:
             boiling_temperature(reduced(), 0.34)
 
 
-# the reduced model and an SI-scaled water-like one (p_c ~ 7e7, theta_c ~ 1.1e3)
-INVERSION_MODELS = {
-    "reduced": reduced(),
-    "si": EosModel(k1=4180.0, k2=461.5, a=1700.0, b=9.5e-4),
-}
 INVERSION_FRACTIONS = [float(f) for f in np.linspace(0.25, 0.985, 25)]
-# up to the supported ceiling 0.999, on both sides of NEWTON_CEILING_FRACTION
+# up to the supported ceiling 0.999, where v_l*(theta) is steepest
 CEILING_FRACTIONS = [float(f) for f in np.linspace(0.985, 0.998, 9)[1:]]
 
 
@@ -174,24 +204,8 @@ def inversion_grid(model, fractions=INVERSION_FRACTIONS):
             for f in fractions]
 
 
-def failing_bitangent_newton(failed):
-    """``newton2d`` that fails the bitangent solve of ``boiling_temperature``.
-
-    The Maxwell constructions look up the same ``newton2d`` for their own
-    polish stage, so those calls pass through to the real solver.
-    """
-    original = dryout.saturation.newton2d
-
-    def newton(F, J, x0, cfg=None):
-        if F.__qualname__.startswith("boiling_temperature."):
-            failed.append(x0)
-            raise NoConvergence("forced failure of the bitangent solve")
-        return original(F, J, x0, cfg)
-    return newton
-
-
 class TestBoilingTemperatureInversion:
-    """The bitangent Newton solve, its Maxwell budget and its bisection fallback."""
+    """The closed-form inversion: accuracy and its one certifying construction."""
 
     @pytest.mark.parametrize("name", sorted(INVERSION_MODELS))
     def test_round_trip_on_grid(self, name):
@@ -200,26 +214,28 @@ class TestBoilingTemperatureInversion:
         for theta, v_l in inversion_grid(m):
             theta_b = boiling_temperature(m, v_l)
             assert abs(theta_b - theta) <= 1e-12 * cp.theta_c
-            assert abs(maxwell_construction(m, theta_b).v_l_star - v_l) <= 1e-13 * cp.v_c
+            sat = maxwell_construction(m, theta_b)
+            assert abs(sat.v_l_star - v_l) <= 1e-13 * cp.v_c
+            theta_ref = mp_boiling_temperature(m, v_l, theta, sat.v_g_star)
+            assert abs(float(theta_b - theta_ref)) <= 1e-15 * cp.theta_c
 
     @pytest.mark.parametrize("name", sorted(INVERSION_MODELS))
     def test_near_ceiling_against_reference(self, name):
-        # The Maxwell construction reproduces v_l* only to ~3e-12 v_c here on
-        # the SI-scaled model, even at the exact temperature, so the round
-        # trip is bounded by that and the accuracy is checked on theta itself.
+        # v_l*(theta) is steepest here, so the round trip through the Maxwell
+        # construction is looser than theta itself
         m = INVERSION_MODELS[name]
         cp = m.critical_point()
         for theta, v_l in inversion_grid(m, CEILING_FRACTIONS):
             theta_b = boiling_temperature(m, v_l)
             sat = maxwell_construction(m, theta_b)
             theta_ref = mp_boiling_temperature(m, v_l, theta, sat.v_g_star)
-            assert abs(float(theta_b - theta_ref)) <= 2e-13 * cp.theta_c
-            assert abs(sat.v_l_star - v_l) <= 1e-11 * cp.v_c
+            assert abs(float(theta_b - theta_ref)) <= 1e-15 * cp.theta_c
+            assert abs(sat.v_l_star - v_l) <= 1e-14 * cp.v_c
 
     @pytest.mark.parametrize("name", sorted(INVERSION_MODELS))
-    def test_at_most_five_constructions_per_inversion(self, name, monkeypatch):
-        # the bisection fallback alone costs a dozen or more constructions,
-        # so this budget fails whenever the Newton result is not accepted
+    def test_one_construction_per_inversion(self, name, monkeypatch):
+        # the inversion solves v_l(y) = v_l on the parametric curve and
+        # certifies its answer with exactly one Maxwell construction
         m = INVERSION_MODELS[name]
         grid = inversion_grid(m)
         calls = []
@@ -232,27 +248,17 @@ class TestBoilingTemperatureInversion:
         monkeypatch.setattr(dryout.saturation, "maxwell_construction", counting)
         for _, v_l in grid:
             calls.clear()
-            boiling_temperature(m, v_l)
-            assert len(calls) <= 5
+            theta_b = boiling_temperature(m, v_l)
+            assert calls == [theta_b]
 
     @pytest.mark.parametrize("name", sorted(INVERSION_MODELS))
-    def test_fallback_when_newton_fails(self, name, monkeypatch):
+    def test_liquid_beyond_double_precision_is_refused(self, name):
+        # v_l = b (1 + 1e-9) boils near 3e-9 theta_c and v_l = 0.3334 v_c
+        # near 7e-4 theta_c; the saturated gas volume overflows at both
         m = INVERSION_MODELS[name]
-        cp = m.critical_point()
-        grid = inversion_grid(m)[::4]
-        failed = []
-        monkeypatch.setattr(dryout.saturation, "newton2d", failing_bitangent_newton(failed))
-        for theta, v_l in grid:
-            failed.clear()
-            assert abs(boiling_temperature(m, v_l) - theta) <= 1e-12 * cp.theta_c
-            assert len(failed) == 1
-
-    def test_fallback_keeps_the_refusals(self, monkeypatch):
-        monkeypatch.setattr(dryout.saturation, "newton2d", failing_bitangent_newton([]))
-        with pytest.raises(NoConvergence):
-            boiling_temperature(reduced(), 0.34)
-        with pytest.raises(AboveCritical):
-            boiling_temperature(reduced(), 0.97)
+        for v_l in (m.b * (1.0 + 1e-9), 0.3334 * m.critical_point().v_c):
+            with pytest.raises(NoConvergence):
+                boiling_temperature(m, v_l)
 
 
 class TestLatentHeat:
